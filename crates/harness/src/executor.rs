@@ -156,7 +156,19 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::SeqCst); // mem: harness-probe
+        {
+            // Set the flag under the queue lock: a worker checks it and then
+            // waits on `work_cv` while holding that lock, so it either sees
+            // the flag or is already waiting when `notify_all` runs.  A
+            // poisoned lock is taken anyway: the queue is valid after every
+            // push and pop, and `drop` must not panic.
+            let _ready = self
+                .core
+                .ready
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.core.shutdown.store(true, Ordering::SeqCst); // mem: harness-probe
+        }
         self.core.work_cv.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -285,5 +297,24 @@ mod tests {
         });
         pool.run_until_idle();
         assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn drop_joins_idle_workers_without_losing_the_shutdown_wakeup() {
+        // Dropping right after construction races the shutdown against
+        // workers that may sit between their flag check and their wait.  A
+        // lost wakeup would hang `join`, so the rounds run on a helper
+        // thread and the test fails at the deadline instead of hanging.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let rounds = std::thread::spawn(move || {
+            for _ in 0..300 {
+                drop(Executor::new(2));
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("an executor drop hung joining its workers");
+        rounds.join().unwrap();
     }
 }

@@ -24,24 +24,46 @@
 //! variants.  Memory shrinks by up to the group order while every verdict,
 //! state count and trace stays bit-identical to the unreduced search; the
 //! orbit count is reported as the *canonical state count*.
+//!
+//! ## The move table
+//!
+//! [`Canonicalizer::new`] compiles every group element once, through
+//! `StateCodec::permutation_moves`, into bit-field moves over the packed
+//! layout, and keeps all elements' moves in one flat table.
+//! [`Canonicalizer::factor`] then encodes a state once — so every lane-bound
+//! check still runs, once per state — and builds each orbit member's code by
+//! applying that element's moves to the encoded words in stack buffers.  No
+//! check is lost: the codec only compiles a permutation that maps lanes onto
+//! lanes of equal bound and ownership, so the moved bits are exactly the
+//! permuted state's encoding.  The minimum is the same as before,
+//! lexicographic over words with the first minimal element winning ties, so
+//! every `(code, variant)` is unchanged.
 
 use bakery_sim::{ProgState, StatePermutation, SymmetryGroup};
 
-use crate::code::{StateCode, StateCodec};
+use crate::code::{FieldMove, StateCode, StateCodec};
 
 /// Largest group order the variant bitmap supports.
 pub const MAX_GROUP_ORDER: usize = 64;
+
+/// Code width up to which [`Canonicalizer::factor`] builds its candidate
+/// codes in stack buffers; wider codes use two heap buffers per call.
+const STACK_WORDS: usize = 8;
 
 /// Canonical-representative computation for one algorithm's states.
 #[derive(Debug)]
 pub struct Canonicalizer {
     group: SymmetryGroup,
-    /// Inverse of each group element, precomputed because
-    /// [`StateCodec::encode_permuted`] consumes the new-index → old-index
-    /// direction on the hot path (once per group element per successor).
-    preimages: Vec<StatePermutation>,
+    /// Every group element compiled once into bit-field moves over the
+    /// codec's layout, element after element in one flat table:
+    /// `moves[bounds[i]..bounds[i + 1]]` turn a state's code into the code
+    /// of its image under `elements[i]`.
+    moves: Vec<FieldMove>,
+    bounds: Vec<usize>,
     /// `inverse_index[i]` is the position of `elements[i]`'s inverse.
     inverse_index: Vec<u8>,
+    /// Position of the identity element.
+    identity: u8,
 }
 
 impl Canonicalizer {
@@ -58,27 +80,36 @@ impl Canonicalizer {
             group.order() <= MAX_GROUP_ORDER,
             "variant bitmaps hold at most {MAX_GROUP_ORDER} group elements"
         );
-        for perm in group.elements() {
-            codec.assert_permutation_compatible(perm);
+        let elements = group.elements();
+        // Room for every lane of every element, each split once at a word
+        // boundary, so the table is allocated once.
+        let lanes = elements[0].registers() * 2 + elements[0].processes();
+        let mut moves = Vec::with_capacity(elements.len() * lanes * 2);
+        let mut bounds = Vec::with_capacity(elements.len() + 1);
+        bounds.push(0);
+        for perm in elements {
+            codec.permutation_moves(perm, &mut moves);
+            bounds.push(moves.len());
         }
-        let preimages: Vec<StatePermutation> =
-            group.elements().iter().map(StatePermutation::inverse).collect();
-        let inverse_index: Vec<u8> = group
-            .elements()
+        let inverse_index: Vec<u8> = elements
             .iter()
             .map(|perm| {
-                let inverse = perm.inverse();
-                group
-                    .elements()
+                elements
                     .iter()
-                    .position(|candidate| *candidate == inverse)
+                    .position(|candidate| is_inverse(perm, candidate))
                     .expect("a closed group contains every inverse") as u8
             })
             .collect();
+        let identity = elements
+            .iter()
+            .position(StatePermutation::is_identity)
+            .expect("a group always contains the identity") as u8;
         Self {
             group,
-            preimages,
+            moves,
+            bounds,
             inverse_index,
+            identity,
         }
     }
 
@@ -93,47 +124,183 @@ impl Canonicalizer {
     /// representative back onto `state` (see [`Canonicalizer::realize`]).
     /// The factorisation is deterministic and injective, which is what makes
     /// the orbit-wise visited set an exact record of the concrete states.
+    ///
+    /// `state` is encoded once, which checks every lane bound; each orbit
+    /// member's code is then built from that code by the element's moves.
     #[must_use]
     pub fn factor(&self, codec: &StateCodec, state: &ProgState) -> (StateCode, u8) {
-        let mut best: Option<(StateCode, usize)> = None;
-        for (index, preimage) in self.preimages.iter().enumerate() {
-            // `encode_permuted(state, elements[i].inverse())` encodes the
-            // image `elements[i](state)`.
-            let candidate = if preimage.is_identity() {
-                codec.encode(state)
-            } else {
-                codec.encode_permuted(state, Some(preimage))
-            };
-            let replace = best
-                .as_ref()
-                .is_none_or(|(current, _)| candidate.as_slice() < current.as_slice());
-            if replace {
-                best = Some((candidate, index));
+        let code = codec.encode(state);
+        let words = code.as_slice();
+        let (minimizer, canonical) = if words.len() <= STACK_WORDS {
+            let (mut best, mut candidate) = ([0; STACK_WORDS], [0; STACK_WORDS]);
+            let (best, candidate) = (&mut best[..words.len()], &mut candidate[..words.len()]);
+            let minimizer = self.minimize(words, best, candidate);
+            (minimizer, StateCode::from_words(best))
+        } else {
+            let (mut best, mut candidate) = (vec![0; words.len()], vec![0; words.len()]);
+            let minimizer = self.minimize(words, &mut best, &mut candidate);
+            (minimizer, StateCode::from_words(&best))
+        };
+        // rep = elements[minimizer](state)  ⇒  state = elements[minimizer]⁻¹(rep).
+        (canonical, self.inverse_index[minimizer])
+    }
+
+    /// Writes the image of `code` under every element into `candidate` in
+    /// turn, keeps the lexicographically smallest in `best`, and returns its
+    /// element index (the first one on ties).
+    fn minimize(&self, code: &[u64], best: &mut [u64], candidate: &mut [u64]) -> usize {
+        let mut minimizer = 0;
+        for index in 0..self.group.order() {
+            self.image(index, code, candidate);
+            if index == 0 || *candidate < *best {
+                best.copy_from_slice(candidate);
+                minimizer = index;
             }
         }
-        let (code, minimizer) = best.expect("a group always contains the identity");
-        // rep = elements[minimizer](state)  ⇒  state = elements[minimizer]⁻¹(rep).
-        (code, self.inverse_index[minimizer])
+        minimizer
+    }
+
+    /// Writes the code of `elements[index]`'s image of the state encoded by
+    /// `code` into `out`.
+    fn image(&self, index: usize, code: &[u64], out: &mut [u64]) {
+        out.fill(0);
+        for field in &self.moves[self.bounds[index]..self.bounds[index + 1]] {
+            field.apply(code, out);
+        }
     }
 
     /// Reconstructs the concrete state `(rep, variant)` denotes: applies
     /// group element `variant` to the decoded representative.
     #[must_use]
     pub fn realize(&self, representative: &ProgState, variant: u8) -> ProgState {
-        let perm = &self.group.elements()[variant as usize];
-        if perm.is_identity() {
+        if variant == self.identity {
             representative.clone()
         } else {
-            perm.apply(representative)
+            self.group.elements()[variant as usize].apply(representative)
         }
     }
+}
+
+/// True when applying `first`, then `second`, is the identity.
+fn is_inverse(first: &StatePermutation, second: &StatePermutation) -> bool {
+    (0..first.processes()).all(|p| second.map_process(first.map_process(p)) == p)
+        && (0..first.registers()).all(|r| second.map_register(first.map_register(r)) == r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bakery_sim::Algorithm;
-    use bakery_spec::{BakeryPlusPlusSpec, TreeBakerySpec};
+    use bakery_sim::{Algorithm, RegisterSemantics};
+    use bakery_spec::{BakeryPlusPlusSpec, BakerySpec, TreeBakerySpec};
+    use std::collections::HashSet;
+
+    /// Up to `limit` distinct states reachable from `spec`'s initial state,
+    /// crash steps included, in depth-first order (deep, asymmetric states
+    /// come early).
+    fn reachable<A: Algorithm>(spec: &A, limit: usize) -> Vec<ProgState> {
+        let codec = StateCodec::new(spec);
+        let mut stack = vec![spec.initial_state()];
+        let mut seen = HashSet::new();
+        let mut states = Vec::new();
+        while let Some(state) = stack.pop() {
+            if states.len() == limit {
+                break;
+            }
+            if !seen.insert(codec.encode(&state)) {
+                continue;
+            }
+            for pid in 0..spec.processes() {
+                stack.extend(spec.successors_vec(&state, pid));
+                stack.extend(spec.crash(&state, pid));
+            }
+            states.push(state);
+        }
+        states
+    }
+
+    /// Checks, on `limit` reachable states of `spec`, that every element's
+    /// moves give the code `encode_permuted` gives, and that `factor`
+    /// returns the minimum over `encode_permuted` (first element on ties)
+    /// with the variant that realizes the state.
+    fn assert_moves_match_encode_permuted<A: Algorithm>(spec: &A, limit: usize) {
+        let group = spec.symmetry().expect("the spec declares a group");
+        let codec = StateCodec::new(spec);
+        let canon = Canonicalizer::new(&codec, group.clone());
+        let elements = group.elements();
+        let inverses: Vec<StatePermutation> =
+            elements.iter().map(StatePermutation::inverse).collect();
+        let states = reachable(spec, limit);
+        assert_eq!(
+            states.len(),
+            limit,
+            "{}: too few reachable states",
+            spec.name()
+        );
+        let mut image = vec![0; codec.words_per_state()];
+        for state in &states {
+            let code = codec.encode(state);
+            let mut reference: Option<(StateCode, usize)> = None;
+            for (index, inverse) in inverses.iter().enumerate() {
+                let expected = codec.encode_permuted(state, Some(inverse));
+                canon.image(index, code.as_slice(), &mut image);
+                assert_eq!(
+                    image,
+                    expected.as_slice(),
+                    "{}: element {index}",
+                    spec.name()
+                );
+                if reference
+                    .as_ref()
+                    .is_none_or(|(best, _)| expected.as_slice() < best.as_slice())
+                {
+                    reference = Some((expected, index));
+                }
+            }
+            let (expected_code, minimizer) = reference.expect("a group is never empty");
+            let expected_variant = elements
+                .iter()
+                .position(|perm| *perm == inverses[minimizer])
+                .expect("closed under inverses") as u8;
+            let (canonical, variant) = canon.factor(&codec, state);
+            assert_eq!(
+                (&canonical, variant),
+                (&expected_code, expected_variant),
+                "{}",
+                spec.name()
+            );
+            assert_eq!(canon.realize(&codec.decode(&canonical), variant), *state);
+        }
+    }
+
+    #[test]
+    fn move_table_matches_encode_permuted_on_every_shipped_group() {
+        for semantics in [RegisterSemantics::Atomic, RegisterSemantics::Safe] {
+            for n in [2, 3] {
+                assert_moves_match_encode_permuted(
+                    &BakerySpec::new(n, 3).with_semantics(semantics),
+                    300,
+                );
+                assert_moves_match_encode_permuted(
+                    &BakeryPlusPlusSpec::new(n, 3).with_semantics(semantics),
+                    300,
+                );
+            }
+        }
+        assert_moves_match_encode_permuted(&TreeBakerySpec::new(2, 2), 300);
+        assert_moves_match_encode_permuted(
+            &TreeBakerySpec::new(2, 2).with_active_processes(&[0, 1]),
+            300,
+        );
+    }
+
+    #[test]
+    fn move_table_matches_encode_permuted_on_codes_wider_than_the_stack_buffers() {
+        // 63-bit ticket lanes straddle words, and the code outgrows the
+        // stack buffers, so `factor` takes its heap path.
+        let spec = BakerySpec::new(4, 1 << 62);
+        assert!(StateCodec::new(&spec).words_per_state() > STACK_WORDS);
+        assert_moves_match_encode_permuted(&spec, 100);
+    }
 
     #[test]
     fn factor_realize_round_trips_every_orbit_member() {

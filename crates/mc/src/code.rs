@@ -18,6 +18,19 @@
 //! The encoding is exact and invertible ([`StateCodec::decode`] is a strict
 //! inverse of [`StateCodec::encode`]), so the explorer never stores decoded
 //! states at all — BFS expansion decodes on demand.
+//!
+//! ## Permutations as bit-field moves
+//!
+//! A symmetry permutation only relabels: it moves whole lanes and never
+//! changes a value.  `StateCodec::permutation_moves` therefore compiles a
+//! [`StatePermutation`] into a short list of `FieldMove`s over the packed
+//! layout — one per register lane, one per process block (pc, crash bit and
+//! locals are contiguous), and under safe semantics one per pending-write
+//! cell plus one per writer-mask bit of a multi-writer cell, so the mask
+//! follows the process relabelling.  Fields that stay adjacent on both sides
+//! merge into one move, and a move never straddles a word.  Applied to a
+//! state's code, the moves yield exactly what [`StateCodec::encode_permuted`]
+//! computes from the `ProgState`, which stays as the reference.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -142,6 +155,9 @@ pub struct StateCodec {
     /// Register owners (single-writer registers), used to reconstruct owned
     /// writer masks on decode and to validate permutations under `weak`.
     owners: Vec<Option<usize>>,
+    /// Bit offset of every register lane, then (under `weak`) of every
+    /// pending-write cell: the lanes `StateCodec::permutation_moves` moves.
+    offsets: Vec<usize>,
 }
 
 /// Narrowest lane holding every value in `0..=max` (at least one bit).
@@ -184,19 +200,25 @@ impl StateCodec {
         let pc_bits = bits_for(u64::from(bounds.max_pc));
         let per_proc: u32 = pc_bits + 1 + local_bits.iter().sum::<u32>();
         let weak = algorithm.register_semantics() == RegisterSemantics::Safe;
-        let mut total_bits =
-            shared_bits.iter().sum::<u32>() as usize + per_proc as usize * initial.procs.len();
+        let procs = initial.procs.len();
+        let mut offsets = Vec::with_capacity(registers.len() * if weak { 2 } else { 1 });
+        let mut total_bits = 0;
+        for &bits in &shared_bits {
+            offsets.push(total_bits);
+            total_bits += bits as usize;
+        }
+        total_bits += per_proc as usize * procs;
         if weak {
             // Pending-write lanes, appended after the atomic layout: owned
             // registers need an active bit + a pending-value lane (the mask
             // is implied by the owner); multi-writer registers need a full
             // writer mask + a clash bit + the pending-value lane.
-            let procs = initial.procs.len() as u32;
-            for (idx, bits) in shared_bits.iter().enumerate() {
+            for (idx, &bits) in shared_bits.iter().enumerate() {
+                offsets.push(total_bits);
                 total_bits += match owners[idx] {
-                    Some(_) => 1 + *bits as usize,
-                    None => procs as usize + 1 + *bits as usize,
-                };
+                    Some(_) => 1,
+                    None => procs + 1,
+                } + bits as usize;
             }
         }
         Self {
@@ -205,10 +227,11 @@ impl StateCodec {
             pc_bits,
             local_bits,
             local_maxes,
-            procs: initial.procs.len(),
+            procs,
             words: total_bits.div_ceil(64).max(1),
             weak,
             owners,
+            offsets,
         }
     }
 
@@ -244,11 +267,10 @@ impl StateCodec {
     }
 
     /// Encodes the image of `state` under the permutation whose **inverse**
-    /// is `preimage`, without materialising the permuted state: the
-    /// canonicalizer calls this once per group element per successor, so both
-    /// the intermediate `ProgState` clone and any O(registers) inverse
-    /// lookups must be avoided — callers precompute the inverse once per
-    /// group element ([`StatePermutation::inverse`]).
+    /// is `preimage`, without materialising the permuted state.  This is the
+    /// reference the compiled moves of `StateCodec::permutation_moves` are
+    /// tested against; the canonicalizer encodes each successor once and
+    /// derives its orbit members' codes from those moves instead.
     #[must_use]
     pub fn encode_permuted(
         &self,
@@ -365,6 +387,56 @@ impl StateCodec {
         }
     }
 
+    /// Appends to `moves` the bit-field moves that turn the code of any state
+    /// into the code of its image under `perm` (see the module docs).  The
+    /// moves OR into a zeroed destination and together cover every bit of
+    /// the layout.
+    ///
+    /// # Panics
+    /// Panics when `perm` is incompatible with the lane layout (see
+    /// [`StateCodec::assert_permutation_compatible`]): only a permutation
+    /// that maps lanes onto lanes of equal width and ownership is a pure
+    /// move of bits.
+    pub(crate) fn permutation_moves(&self, perm: &StatePermutation, moves: &mut Vec<FieldMove>) {
+        self.assert_permutation_compatible(perm);
+        assert!(
+            self.words <= 1 << 16,
+            "field moves address at most 2^16 words"
+        );
+        let registers = self.shared_bits.len();
+        let mut out = MoveBuilder { moves, run: None };
+        for (old, &bits) in self.shared_bits.iter().enumerate() {
+            let new = perm.map_register(old);
+            out.field(self.offsets[old], self.offsets[new], bits as usize);
+        }
+        let base = self.shared_bits.iter().sum::<u32>() as usize;
+        let block = (self.pc_bits + 1 + self.local_bits.iter().sum::<u32>()) as usize;
+        for old in 0..self.procs {
+            out.field(
+                base + old * block,
+                base + perm.map_process(old) * block,
+                block,
+            );
+        }
+        if self.weak {
+            for (old, &bits) in self.shared_bits.iter().enumerate() {
+                let src = self.offsets[registers + old];
+                let dst = self.offsets[registers + perm.map_register(old)];
+                if self.owners[old].is_some() {
+                    out.field(src, dst, 1 + bits as usize);
+                } else {
+                    // Writer bit p of the mask lands on bit perm(p); the
+                    // clash bit and the pending value follow as one field.
+                    for pid in 0..self.procs {
+                        out.field(src + pid, dst + perm.map_process(pid), 1);
+                    }
+                    out.field(src + self.procs, dst + self.procs, 1 + bits as usize);
+                }
+            }
+        }
+        out.finish();
+    }
+
     /// Decodes a code produced by [`StateCodec::encode`] back into the exact
     /// original state.
     #[must_use]
@@ -427,8 +499,80 @@ impl StateCodec {
     }
 }
 
-/// Words a [`BitWriter`] can hold without allocating — the encoder runs once
-/// per group element per successor, so the common path must be alloc-free.
+/// One bit-field move of a compiled permutation: ORs the field
+/// `(src[src_word] >> src_shift) & mask` into `dst[dst_word]` at
+/// `dst_shift`.  Neither side straddles a word boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FieldMove {
+    mask: u64,
+    src_word: u16,
+    dst_word: u16,
+    src_shift: u8,
+    dst_shift: u8,
+}
+
+impl FieldMove {
+    /// Copies this move's field of `src` into `dst`, which holds zeros there.
+    #[inline]
+    pub(crate) fn apply(&self, src: &[u64], dst: &mut [u64]) {
+        dst[usize::from(self.dst_word)] |=
+            ((src[usize::from(self.src_word)] >> self.src_shift) & self.mask) << self.dst_shift;
+    }
+}
+
+/// Collects `(src bit, dst bit, width)` fields in source order, merges each
+/// one that continues the previous field on both sides, and splits the
+/// merged runs into word-local [`FieldMove`]s.
+struct MoveBuilder<'a> {
+    moves: &'a mut Vec<FieldMove>,
+    run: Option<(usize, usize, usize)>,
+}
+
+impl MoveBuilder<'_> {
+    fn field(&mut self, src: usize, dst: usize, width: usize) {
+        match &mut self.run {
+            Some((run_src, run_dst, run_width))
+                if *run_src + *run_width == src && *run_dst + *run_width == dst =>
+            {
+                *run_width += width;
+            }
+            _ => {
+                self.flush();
+                self.run = Some((src, dst, width));
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        let Some((mut src, mut dst, mut width)) = self.run.take() else {
+            return;
+        };
+        while width > 0 {
+            let take = width.min(64 - src % 64).min(64 - dst % 64);
+            self.moves.push(FieldMove {
+                mask: if take == 64 {
+                    u64::MAX
+                } else {
+                    (1 << take) - 1
+                },
+                src_word: (src / 64) as u16,
+                dst_word: (dst / 64) as u16,
+                src_shift: (src % 64) as u8,
+                dst_shift: (dst % 64) as u8,
+            });
+            src += take;
+            dst += take;
+            width -= take;
+        }
+    }
+
+    fn finish(mut self) {
+        self.flush();
+    }
+}
+
+/// Words a [`BitWriter`] can hold without allocating, so the common encode
+/// path is alloc-free.
 const WRITER_INLINE: usize = 8;
 
 /// LSB-first bit packer over a fixed number of words.
@@ -585,6 +729,44 @@ mod tests {
             let direct = codec.encode_permuted(&state, Some(&perm.inverse()));
             assert_eq!(via_apply, direct);
         }
+    }
+
+    #[test]
+    fn moves_remap_the_writer_mask_of_a_multi_writer_cell() {
+        // Swapping Peterson's processes and their flags keeps every lane's
+        // bound and ownership (`turn` is multi-writer on both sides), so the
+        // codec accepts it — and `turn`'s writer mask must follow the swap.
+        let spec = PetersonSpec::new().with_semantics(RegisterSemantics::Safe);
+        let codec = StateCodec::new(&spec);
+        let swap = StatePermutation::new(vec![1, 0], vec![1, 0, 2]);
+        let inverse = swap.inverse();
+        let mut moves = Vec::new();
+        codec.permutation_moves(&swap, &mut moves);
+        let mut stack = vec![spec.initial_state()];
+        let mut seen = std::collections::HashSet::new();
+        let (mut one_writer, mut clashes) = (0, 0);
+        while let Some(state) = stack.pop() {
+            let code = codec.encode(&state);
+            if !seen.insert(code.clone()) {
+                continue;
+            }
+            let mut image = vec![0; codec.words_per_state()];
+            for field in &moves {
+                field.apply(code.as_slice(), &mut image);
+            }
+            assert_eq!(
+                image,
+                codec.encode_permuted(&state, Some(&inverse)).as_slice()
+            );
+            assert_eq!(image, codec.encode(&swap.apply(&state)).as_slice());
+            let turn = &state.writes[2];
+            one_writer += usize::from(turn.writers.count_ones() == 1);
+            clashes += usize::from(turn.clash);
+            for pid in 0..2 {
+                stack.extend(spec.successors_vec(&state, pid));
+            }
+        }
+        assert!(one_writer > 0 && clashes > 0, "{one_writer} / {clashes}");
     }
 
     #[test]

@@ -139,8 +139,13 @@ impl StatePermutation {
         assert_eq!(state.procs.len(), self.proc_map.len(), "process count");
         assert_eq!(state.shared.len(), self.shared_map.len(), "register count");
         let mut next = state.clone();
+        // Overwrite the slots in place: `clone_from` reuses each slot's
+        // locals buffer, so no process is cloned a second time.
         for (old, &new) in self.proc_map.iter().enumerate() {
-            next.procs[new] = state.procs[old].clone();
+            let (from, to) = (&state.procs[old], &mut next.procs[new]);
+            to.pc = from.pc;
+            to.crashed = from.crashed;
+            to.locals.clone_from(&from.locals);
         }
         for (old, &new) in self.shared_map.iter().enumerate() {
             next.shared[new] = state.shared[old];
