@@ -13,7 +13,7 @@
 //! | [`filter`] | the Filter lock (Peterson generalisation) | shared multi-writer `victim[]` |
 //! | [`szymanski`] | Szymanski's FCFS algorithm | "much more complicated than Bakery++", 2 more shared values per process |
 //! | [`black_white`] | Taubenfeld's Black-White Bakery | bounded via an extra shared colour bit (approach 2) |
-//! | [`modulo_bakery`] | Jayanti et al. style bounded Bakery | bounded via modulo arithmetic, redefining `<` and `maximum` (approach 1) |
+//! | [`seqcst_bakery`] | Lamport's Bakery, one padded `SeqCst` atomic per register | the unbounded original; the layout reference E6/E7 measure the packed locks against |
 //! | [`dijkstra`] | Dijkstra's 1965 algorithm | the original solution, not FCFS, all processes write `k` |
 //! | [`ticket_lock`] | fetch-and-add ticket lock | "not a true mutual exclusion algorithm": relies on atomic RMW |
 //! | [`spin`] | TAS / TTAS spin locks | ditto |
@@ -30,9 +30,9 @@
 pub mod black_white;
 pub mod dijkstra;
 pub mod filter;
-pub mod modulo_bakery;
 pub mod peterson;
 pub mod registry;
+pub mod seqcst_bakery;
 pub mod spin;
 pub mod szymanski;
 pub mod ticket_lock;
@@ -41,9 +41,9 @@ pub mod tournament;
 pub use black_white::BlackWhiteBakeryLock;
 pub use dijkstra::DijkstraLock;
 pub use filter::FilterLock;
-pub use modulo_bakery::ModuloBakeryLock;
 pub use peterson::PetersonLock;
 pub use registry::{all_algorithms, AlgorithmId, LockFactory};
+pub use seqcst_bakery::SeqCstBakeryLock;
 pub use spin::{TasLock, TtasLock};
 pub use szymanski::SzymanskiLock;
 pub use ticket_lock::TicketLock;
@@ -86,9 +86,14 @@ pub(crate) use lock_accessors;
 #[doc(hidden)]
 pub mod testutil {
     use bakery_core::sync::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     use bakery_core::RawMutexAlgorithm;
+
+    /// How long [`assert_mutual_exclusion`]'s workers may run before the
+    /// stress counts as hung.
+    pub const DEADLINE: Duration = Duration::from_secs(60);
 
     /// Runs `threads` real threads, each entering the critical section
     /// `iterations` times, and asserts mutual exclusion throughout.
@@ -96,18 +101,41 @@ pub mod testutil {
     /// Returns the total number of critical-section entries observed.
     /// `L` may be unsized (`dyn RawMutexAlgorithm + Send + Sync`), so the
     /// integration suites can stress factory-built locks too.
+    ///
+    /// # Panics
+    /// Panics if a worker panics (a violated assertion), or if the workers
+    /// are still running after [`DEADLINE`] — a deadlock or livelock — in
+    /// which case the message names the lock and dumps its statistics.
     pub fn assert_mutual_exclusion<L>(lock: Arc<L>, threads: usize, iterations: u64) -> u64
+    where
+        L: RawMutexAlgorithm + Send + Sync + ?Sized + 'static,
+    {
+        assert_mutual_exclusion_within(lock, threads, iterations, DEADLINE)
+    }
+
+    /// [`assert_mutual_exclusion`] with an explicit deadline.
+    fn assert_mutual_exclusion_within<L>(
+        lock: Arc<L>,
+        threads: usize,
+        iterations: u64,
+        deadline: Duration,
+    ) -> u64
     where
         L: RawMutexAlgorithm + Send + Sync + ?Sized + 'static,
     {
         let counter = Arc::new(AtomicU64::new(0));
         let in_cs = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
+        // Every worker holds a sender; the channel disconnects once all of
+        // them have returned or unwound.
+        let (alive, all_done) = mpsc::channel::<()>();
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
                 let lock = Arc::clone(&lock);
                 let counter = Arc::clone(&counter);
                 let in_cs = Arc::clone(&in_cs);
-                scope.spawn(move || {
+                let alive = alive.clone();
+                std::thread::spawn(move || {
+                    let _alive = alive;
                     let slot = lock.register().expect("a free slot");
                     for _ in 0..iterations {
                         let _guard = lock.lock(&slot);
@@ -116,9 +144,46 @@ pub mod testutil {
                         counter.fetch_add(1, Ordering::SeqCst); // mem: baseline-seqcst
                         in_cs.fetch_sub(1, Ordering::SeqCst); // mem: baseline-seqcst
                     }
-                });
+                })
+            })
+            .collect();
+        drop(alive);
+        if let Err(mpsc::RecvTimeoutError::Timeout) = all_done.recv_timeout(deadline) {
+            // The hung workers cannot be joined; they stay detached.
+            panic!(
+                "{}: {threads} stress workers still running after {deadline:?}; stats: {:?}",
+                lock.algorithm_name(),
+                lock.stats().snapshot()
+            );
+        }
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
             }
-        });
+        }
         counter.load(Ordering::SeqCst) // mem: baseline-seqcst
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use bakery_core::wait::Park;
+        use bakery_core::BakeryPlusPlusLock;
+
+        /// A worker queued behind a critical section that is never left
+        /// makes the stress fail at its deadline, naming the lock, instead
+        /// of hanging the test binary.
+        #[test]
+        #[should_panic(expected = "bakery++: 1 stress workers still running after 100ms")]
+        fn a_stress_that_cannot_finish_fails_at_its_deadline() {
+            let lock = Arc::new(BakeryPlusPlusLock::with_bound_and_strategy(
+                2,
+                8,
+                Arc::new(Park::new()),
+            ));
+            let holder = lock.register_exact(0).expect("a fresh lock has slot 0");
+            lock.acquire(holder.pid());
+            assert_mutual_exclusion_within(lock, 1, 1, Duration::from_millis(100));
+        }
     }
 }

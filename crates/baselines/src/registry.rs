@@ -15,12 +15,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use bakery_core::registers::OverflowPolicy;
-use bakery_core::{
-    AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, TreeBakery,
-};
+use bakery_core::{AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery};
 
 use crate::{
-    BlackWhiteBakeryLock, DijkstraLock, FilterLock, ModuloBakeryLock, PetersonLock, SzymanskiLock,
+    BlackWhiteBakeryLock, DijkstraLock, FilterLock, PetersonLock, SeqCstBakeryLock, SzymanskiLock,
     TasLock, TicketLock, TournamentLock, TtasLock,
 };
 
@@ -34,7 +32,7 @@ pub enum AlgorithmId {
     TreeBakery,
     AdaptiveBakery,
     BlackWhiteBakery,
-    ModuloBakery,
+    BakerySeqCst,
     Peterson,
     PetersonTournament,
     Filter,
@@ -52,9 +50,11 @@ pub struct AlgorithmEntry {
     /// The short name used in tables (matches
     /// [`RawMutexAlgorithm::algorithm_name`]).
     pub name: &'static str,
-    /// True for algorithms that avoid lower-level mutual exclusion (no
-    /// atomic read-modify-write instructions) — the paper's notion of a
-    /// *true* mutual exclusion algorithm.
+    /// True for algorithms that avoid lower-level mutual exclusion — the
+    /// paper's notion of a *true* mutual exclusion algorithm: no atomic
+    /// read-modify-write excludes another process; any RMW only publishes
+    /// the caller's own lane or bit (as the packed register plane's writes
+    /// do).
     pub true_mutex: bool,
     /// True for algorithms that serve processes in first-come-first-served
     /// order (at the doorway granularity).
@@ -99,11 +99,10 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
             } else {
                 bakery_core::DEFAULT_BOUND
             };
-            Arc::new(BakeryLock::with_config(
+            Arc::new(BakeryLock::with_bound_and_policy(
                 n,
                 bound,
                 OverflowPolicy::Wrap,
-                factory.scan_mode,
             ))
         },
     },
@@ -114,13 +113,7 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
         fcfs: true,
         bounded: true,
         exact_n: None,
-        build: |factory, n| {
-            Arc::new(BakeryPlusPlusLock::with_bound_and_mode(
-                n,
-                factory.bound,
-                factory.scan_mode,
-            ))
-        },
+        build: |factory, n| Arc::new(BakeryPlusPlusLock::with_bound(n, factory.bound)),
     },
     AlgorithmEntry {
         id: AlgorithmId::TreeBakery,
@@ -133,29 +126,23 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
         // The tree fixes its per-node bound at M = arity + 1 (the smallest
         // bound that admits a full round of K tickets), so the factory's
         // `bound` knob intentionally does not apply here.
-        build: |factory, n| {
-            Arc::new(TreeBakery::with_config(
-                n,
-                bakery_core::DEFAULT_TREE_ARITY,
-                factory.scan_mode,
-            ))
-        },
+        build: |_, n| Arc::new(TreeBakery::new(n)),
     },
     AlgorithmEntry {
         id: AlgorithmId::AdaptiveBakery,
         name: "adaptive-bakery",
-        // The steady-state planes are pure reads/writes, but the handoff
-        // control words (epoch CAS, flat_active fetch-add) are RMW — by the
-        // paper's strict definition that disqualifies "true" status.
+        // The steady-state planes only publish their own lanes and bits, but
+        // the handoff control words (epoch CAS, flat_active fetch-add) are
+        // RMWs that arbitrate between processes — that disqualifies "true"
+        // status.
         true_mutex: false,
         // FCFS while flat; tournament-shaped after the migration.
         fcfs: false,
         bounded: true,
         exact_n: None,
         // Thresholds stay at the adaptive defaults (owned by bakery-core);
-        // both planes follow the factory's scan mode (the bound knob does
-        // not apply, mirroring the tree entry).
-        build: |factory, n| Arc::new(AdaptiveBakery::with_mode(n, factory.scan_mode)),
+        // the bound knob does not apply, mirroring the tree entry.
+        build: |_, n| Arc::new(AdaptiveBakery::new(n)),
     },
     AlgorithmEntry {
         id: AlgorithmId::BlackWhiteBakery,
@@ -167,13 +154,13 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
         build: |_, n| Arc::new(BlackWhiteBakeryLock::new(n)),
     },
     AlgorithmEntry {
-        id: AlgorithmId::ModuloBakery,
-        name: "modulo-bakery",
+        id: AlgorithmId::BakerySeqCst,
+        name: "bakery-seqcst",
         true_mutex: true,
         fcfs: true,
-        bounded: true,
+        bounded: false,
         exact_n: None,
-        build: |_, n| Arc::new(ModuloBakeryLock::new(n)),
+        build: |_, n| Arc::new(SeqCstBakeryLock::new(n)),
     },
     AlgorithmEntry {
         id: AlgorithmId::Peterson,
@@ -259,7 +246,7 @@ impl AlgorithmId {
             AlgorithmId::TreeBakery,
             AlgorithmId::AdaptiveBakery,
             AlgorithmId::BlackWhiteBakery,
-            AlgorithmId::ModuloBakery,
+            AlgorithmId::BakerySeqCst,
             AlgorithmId::Peterson,
             AlgorithmId::PetersonTournament,
             AlgorithmId::Filter,
@@ -288,8 +275,8 @@ impl AlgorithmId {
         self.entry().name
     }
 
-    /// True for algorithms that avoid lower-level mutual exclusion (no atomic
-    /// read-modify-write instructions) — the paper's notion of a *true*
+    /// True for algorithms that avoid lower-level mutual exclusion (see
+    /// [`AlgorithmEntry::true_mutex`]) — the paper's notion of a *true*
     /// mutual exclusion algorithm.
     #[must_use]
     pub fn is_true_mutex(&self) -> bool {
@@ -335,9 +322,6 @@ pub struct LockFactory {
     /// When true the classic Bakery is built with bounded (wrapping)
     /// registers instead of 64-bit ones.
     pub bounded_classic: bool,
-    /// Scan mode applied to the Bakery-family locks (packed snapshot plane
-    /// vs the padded seed layout), so E6/E7 can compare like for like.
-    pub scan_mode: ScanMode,
 }
 
 impl Default for LockFactory {
@@ -345,7 +329,6 @@ impl Default for LockFactory {
         Self {
             bound: bakery_core::DEFAULT_PP_BOUND,
             bounded_classic: false,
-            scan_mode: ScanMode::Packed,
         }
     }
 }
@@ -368,13 +351,6 @@ impl LockFactory {
     #[must_use]
     pub fn with_bounded_classic(mut self, bounded: bool) -> Self {
         self.bounded_classic = bounded;
-        self
-    }
-
-    /// Sets the scan mode for the Bakery-family locks.
-    #[must_use]
-    pub fn with_scan_mode(mut self, mode: ScanMode) -> Self {
-        self.scan_mode = mode;
         self
     }
 
@@ -465,6 +441,10 @@ mod tests {
         assert!(!AlgorithmId::Filter.is_fcfs());
         assert!(AlgorithmId::BakeryPlusPlus.is_bounded());
         assert!(!AlgorithmId::Bakery.is_bounded());
+        // The all-SeqCst reference: plain loads and stores, unbounded.
+        assert!(AlgorithmId::BakerySeqCst.is_true_mutex());
+        assert!(AlgorithmId::BakerySeqCst.is_fcfs());
+        assert!(!AlgorithmId::BakerySeqCst.is_bounded());
         // The tree composite: true mutex (pure reads/writes), bounded by
         // construction, but only per-node FCFS — not globally.
         assert!(AlgorithmId::TreeBakery.is_true_mutex());
@@ -491,13 +471,6 @@ mod tests {
         let slot = lock.register().unwrap();
         drop(lock.lock(&slot));
         assert_eq!(lock.stats().cs_entries(), 1);
-        // Scan mode reaches every node: padded trees have no packed plane.
-        let padded = LockFactory::new()
-            .with_scan_mode(ScanMode::Padded)
-            .build(AlgorithmId::TreeBakery, 16);
-        let slot = padded.register().unwrap();
-        drop(padded.lock(&slot));
-        assert_eq!(padded.stats().fast_path_hits(), 0);
     }
 
     #[test]
@@ -510,13 +483,6 @@ mod tests {
             drop(lock.lock(&slot));
         }
         assert_eq!(lock.stats().cs_entries(), 3);
-        // Padded mode reaches both planes (no packed fast path anywhere).
-        let padded = LockFactory::new()
-            .with_scan_mode(ScanMode::Padded)
-            .build(AlgorithmId::AdaptiveBakery, 8);
-        let slot = padded.register().unwrap();
-        drop(padded.lock(&slot));
-        assert_eq!(padded.stats().fast_path_hits(), 0);
     }
 
     #[test]
@@ -530,24 +496,6 @@ mod tests {
             .with_bounded_classic(true)
             .build(AlgorithmId::Bakery, 3);
         assert_eq!(bounded.register_bound(), Some(42));
-    }
-
-    #[test]
-    fn factory_scan_mode_applies_to_bakery_family() {
-        let padded = LockFactory::new().with_scan_mode(ScanMode::Padded);
-        for id in [AlgorithmId::Bakery, AlgorithmId::BakeryPlusPlus] {
-            let lock = padded.build(id, 2);
-            let slot = lock.register().unwrap();
-            drop(lock.lock(&slot));
-            assert_eq!(lock.stats().fast_path_hits(), 0, "{id}: padded has no fast path");
-        }
-        let packed = LockFactory::new();
-        for id in [AlgorithmId::Bakery, AlgorithmId::BakeryPlusPlus] {
-            let lock = packed.build(id, 2);
-            let slot = lock.register().unwrap();
-            drop(lock.lock(&slot));
-            assert_eq!(lock.stats().fast_path_hits(), 1, "{id}: uncontended fast path");
-        }
     }
 
     #[test]

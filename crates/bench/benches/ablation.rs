@@ -49,7 +49,6 @@ fn bench_overflow_policy_ablation(c: &mut Criterion) {
     for (name, policy) in [
         ("wrap", OverflowPolicy::Wrap),
         ("saturate", OverflowPolicy::Saturate),
-        ("report", OverflowPolicy::Report),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

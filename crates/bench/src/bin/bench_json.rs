@@ -4,10 +4,10 @@
 //! writes their results as JSON, establishing the first point of the perf
 //! trajectory that later PRs extend:
 //!
-//! * **E6** (uncontended acquire/release latency): every Bakery-family lock
-//!   in both scan modes across a range of process counts;
-//! * **E7** (contended throughput): Bakery++ and classic Bakery in both scan
-//!   modes at 2 and 4 threads;
+//! * **E6** (uncontended acquire/release latency): the packed classic Bakery
+//!   and Bakery++ next to the all-`SeqCst` reference lock (`bakery-seqcst`)
+//!   across a range of process counts;
+//! * **E7** (contended throughput): the same three locks at 2 and 4 threads;
 //! * **E11** (lock-service churn): sessions attached/detached through the
 //!   session plane at a ≥ 64× client-to-slot ratio, flat vs tree vs the
 //!   adaptive lock (whose flat→tree migration fires mid-run);
@@ -26,8 +26,8 @@
 //!
 //! Output files: `BENCH_e2.json`, `BENCH_e6.json`, `BENCH_e7.json`,
 //! `BENCH_e11.json`, `BENCH_e12.json` and `BENCH_e13.json` in `--out-dir`
-//! (default: the current directory).  The summary — including the
-//! packed-vs-padded improvement percentages — is also printed as
+//! (default: the current directory).  The summary — including each packed
+//! lock's improvement over the reference lock — is also printed as
 //! Markdown-ish text.
 
 #![forbid(unsafe_code)]
@@ -35,9 +35,9 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bakery_core::registers::OverflowPolicy;
+use bakery_baselines::SeqCstBakeryLock;
 use bakery_core::{
-    BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, TreeBakery, DEFAULT_PP_BOUND,
+    BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery, DEFAULT_PP_BOUND,
 };
 use bakery_harness::experiments::e10_tree_scale::{flat_scan_words, ARITY as TREE_ARITY};
 use bakery_harness::experiments::e11_lock_service::{run_service, service_locks, ServiceConfig};
@@ -51,7 +51,6 @@ const TREE_SIZES: [usize; 3] = bakery_harness::experiments::e10_tree_scale::SIZE
 #[derive(Debug, Clone)]
 struct E6Entry {
     algorithm: String,
-    mode: String,
     processes: usize,
     bound: u64,
     ns_per_acquire: f64,
@@ -60,7 +59,6 @@ struct E6Entry {
 }
 bakery_json::json_object!(E6Entry {
     algorithm,
-    mode,
     processes,
     bound,
     ns_per_acquire,
@@ -72,7 +70,6 @@ bakery_json::json_object!(E6Entry {
 #[derive(Debug, Clone)]
 struct E7Entry {
     algorithm: String,
-    mode: String,
     threads: usize,
     bound: u64,
     acquisitions_per_sec: f64,
@@ -83,7 +80,6 @@ struct E7Entry {
 }
 bakery_json::json_object!(E7Entry {
     algorithm,
-    mode,
     threads,
     bound,
     acquisitions_per_sec,
@@ -93,12 +89,12 @@ bakery_json::json_object!(E7Entry {
     overflow_attempts,
 });
 
-/// Packed-vs-padded comparison for one configuration.
+/// One packed lock against the reference lock in the same configuration.
 #[derive(Debug, Clone)]
 struct Comparison {
     algorithm: String,
     processes: usize,
-    padded: f64,
+    reference: f64,
     packed: f64,
     /// Positive = packed is better.  For E6 this is latency reduction, for
     /// E7 throughput gain, both in percent.
@@ -107,7 +103,7 @@ struct Comparison {
 bakery_json::json_object!(Comparison {
     algorithm,
     processes,
-    padded,
+    reference,
     packed,
     improvement_pct,
 });
@@ -185,7 +181,8 @@ struct E6Report {
     experiment: String,
     quick: bool,
     entries: Vec<E6Entry>,
-    /// Latency reduction of packed vs padded per (algorithm, processes).
+    /// Latency reduction of each packed lock vs the reference lock per
+    /// (algorithm, processes).
     comparisons: Vec<Comparison>,
     /// Large-N section: flat packed Bakery++ vs the tree composite.
     tree_entries: Vec<TreeE6Entry>,
@@ -261,7 +258,8 @@ struct E7Report {
     /// Repetitions per configuration; each entry is the best of these.
     repetitions: usize,
     entries: Vec<E7Entry>,
-    /// Throughput gain of packed vs padded per (algorithm, threads).
+    /// Throughput gain of each packed lock vs the reference lock per
+    /// (algorithm, threads).
     comparisons: Vec<Comparison>,
     /// Large-N section: 4 live threads on 256/512/1024-capacity locks.
     tree_entries: Vec<TreeE7Entry>,
@@ -418,20 +416,18 @@ fn run_e2(quick: bool) -> E2Report {
     }
 }
 
-fn bakery_pair(n: usize, bound: u64, mode: ScanMode) -> Vec<(String, Arc<dyn RawMutexAlgorithm>)> {
+/// Name of the all-`SeqCst` reference lock the packed locks are compared with.
+const REFERENCE: &str = "bakery-seqcst";
+
+/// The locks E6/E7 time at `n` processes: the reference lock first, then the
+/// packed classic Bakery and Bakery++.
+fn bakery_locks(n: usize, bound: u64) -> Vec<(String, Arc<dyn RawMutexAlgorithm>)> {
     vec![
-        (
-            "bakery".to_string(),
-            Arc::new(BakeryLock::with_config(
-                n,
-                bakery_core::DEFAULT_BOUND,
-                OverflowPolicy::Wrap,
-                mode,
-            )),
-        ),
+        (REFERENCE.to_string(), Arc::new(SeqCstBakeryLock::new(n))),
+        ("bakery".to_string(), Arc::new(BakeryLock::new(n))),
         (
             "bakery++".to_string(),
-            Arc::new(BakeryPlusPlusLock::with_bound_and_mode(n, bound, mode)),
+            Arc::new(BakeryPlusPlusLock::with_bound(n, bound)),
         ),
     ]
 }
@@ -441,32 +437,29 @@ fn run_e6(quick: bool) -> E6Report {
     let bound = DEFAULT_PP_BOUND;
     let mut entries = Vec::new();
     for &n in &[4usize, 32, 128] {
-        for mode in [ScanMode::Padded, ScanMode::Packed] {
-            for (name, lock) in bakery_pair(n, bound, mode) {
-                let ns = measure_uncontended(lock.as_ref(), iterations, samples);
-                let stats = lock.stats().snapshot();
-                entries.push(E6Entry {
-                    algorithm: name,
-                    mode: mode.name().to_string(),
-                    processes: n,
-                    // Per-lock: classic bakery runs effectively unbounded.
-                    bound: lock.register_bound().unwrap_or(u64::MAX),
-                    ns_per_acquire: ns,
-                    fast_path_hits: stats.fast_path_hits,
-                    overflow_attempts: stats.overflow_attempts,
-                });
-            }
+        for (name, lock) in bakery_locks(n, bound) {
+            let ns = measure_uncontended(lock.as_ref(), iterations, samples);
+            let stats = lock.stats().snapshot();
+            entries.push(E6Entry {
+                algorithm: name,
+                processes: n,
+                // Per-lock: classic bakery and the reference run unbounded.
+                bound: lock.register_bound().unwrap_or(u64::MAX),
+                ns_per_acquire: ns,
+                fast_path_hits: stats.fast_path_hits,
+                overflow_attempts: stats.overflow_attempts,
+            });
         }
     }
     let comparisons = comparisons_of(
         &entries,
-        |e| (e.algorithm.clone(), e.processes, e.mode.clone(), e.ns_per_acquire),
+        |e| (e.algorithm.clone(), e.processes, e.ns_per_acquire),
         // Latency: improvement = reduction.
-        |padded, packed| (padded - packed) / padded * 100.0,
+        |reference, packed| (reference - packed) / reference * 100.0,
     );
     let (tree_entries, tree_comparisons) = run_e6_tree(quick);
     E6Report {
-        schema: "bakery-bench/e6/v2".to_string(),
+        schema: "bakery-bench/e6/v3".to_string(),
         experiment: "E6 uncontended acquire/release latency".to_string(),
         quick,
         entries,
@@ -553,71 +546,64 @@ fn run_e7(quick: bool) -> E7Report {
     let mut entries = Vec::new();
     let mut comparisons = Vec::new();
     for &threads in &[2usize, 4] {
-        for lock_index in 0..2 {
-            // Paired A/B design: each repetition runs the padded and the
-            // packed lock back to back on fresh locks, and the improvement is
-            // the median of the per-repetition ratios.  On a machine with
-            // fewer CPUs than workers (often a single shared CPU here) whole
-            // runs drift between a fast serial-burst regime and a slow
-            // context-switch-bound regime; pairing cancels that drift where
-            // an unpaired best-of-k cannot.
-            let mut ratios: Vec<f64> = Vec::with_capacity(repetitions);
-            let mut padded_thr: Vec<f64> = Vec::with_capacity(repetitions);
-            let mut packed_thr: Vec<f64> = Vec::with_capacity(repetitions);
-            let mut sample: Vec<Option<E7Entry>> = vec![None, None];
-            for _ in 0..repetitions {
-                let mut pair_thr = [0.0f64; 2];
-                for (slot, mode) in [ScanMode::Padded, ScanMode::Packed].into_iter().enumerate()
-                {
-                    let (name, lock) = bakery_pair(threads, bound, mode).swap_remove(lock_index);
-                    let workload = Workload {
-                        threads,
-                        iterations_per_thread: if quick { 1_000 } else { 4_000 },
-                        critical_section_work: 16,
-                        think_work: 16,
-                    };
-                    let result = run_workload(Arc::clone(&lock), &workload);
-                    pair_thr[slot] = result.throughput();
-                    let entry = E7Entry {
-                        algorithm: name,
-                        mode: mode.name().to_string(),
-                        threads,
-                        bound: lock.register_bound().unwrap_or(u64::MAX),
-                        acquisitions_per_sec: result.throughput(),
-                        p99_latency_ns: result.latency.quantile_ns(0.99),
-                        fairness_ratio: result.fairness_ratio(),
-                        fast_path_hits: result.fast_path_hits,
-                        overflow_attempts: result.overflow_attempts,
-                    };
-                    let better = sample[slot]
-                        .as_ref()
-                        .is_none_or(|b| entry.acquisitions_per_sec > b.acquisitions_per_sec);
-                    if better {
-                        sample[slot] = Some(entry);
-                    }
+        // Paired A/B design: each repetition runs the reference and both
+        // packed locks back to back on fresh locks, and each improvement is
+        // the median of the per-repetition ratios to the reference.  On a
+        // machine with fewer CPUs than workers (often a single shared CPU
+        // here) whole runs drift between a fast serial-burst regime and a
+        // slow context-switch-bound regime; pairing cancels that drift where
+        // an unpaired best-of-k cannot.
+        let mut throughput: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        let mut best: Vec<Option<E7Entry>> = vec![None; 3];
+        for _ in 0..repetitions {
+            for (slot, (name, lock)) in bakery_locks(threads, bound).into_iter().enumerate() {
+                let workload = Workload {
+                    threads,
+                    iterations_per_thread: if quick { 1_000 } else { 4_000 },
+                    critical_section_work: 16,
+                    think_work: 16,
+                };
+                let result = run_workload(Arc::clone(&lock), &workload);
+                throughput[slot].push(result.throughput());
+                let entry = E7Entry {
+                    algorithm: name,
+                    threads,
+                    bound: lock.register_bound().unwrap_or(u64::MAX),
+                    acquisitions_per_sec: result.throughput(),
+                    p99_latency_ns: result.latency.quantile_ns(0.99),
+                    fairness_ratio: result.fairness_ratio(),
+                    fast_path_hits: result.fast_path_hits,
+                    overflow_attempts: result.overflow_attempts,
+                };
+                let better = best[slot]
+                    .as_ref()
+                    .is_none_or(|b| entry.acquisitions_per_sec > b.acquisitions_per_sec);
+                if better {
+                    best[slot] = Some(entry);
                 }
-                padded_thr.push(pair_thr[0]);
-                packed_thr.push(pair_thr[1]);
-                ratios.push(pair_thr[1] / pair_thr[0]);
             }
-            let median_ratio = median(&mut ratios);
-            let (algorithm, processes) = {
-                let best = sample[0].as_ref().expect("at least one repetition");
-                (best.algorithm.clone(), best.threads)
-            };
-            comparisons.push(Comparison {
-                algorithm,
-                processes,
-                padded: median(&mut padded_thr),
-                packed: median(&mut packed_thr),
-                improvement_pct: (median_ratio - 1.0) * 100.0,
-            });
-            entries.extend(sample.into_iter().flatten());
         }
+        let reference = median(&mut throughput[0].clone());
+        for slot in 1..throughput.len() {
+            let mut ratios: Vec<f64> = throughput[slot]
+                .iter()
+                .zip(&throughput[0])
+                .map(|(p, r)| p / r)
+                .collect();
+            let best = best[slot].as_ref().expect("at least one repetition");
+            comparisons.push(Comparison {
+                algorithm: best.algorithm.clone(),
+                processes: threads,
+                reference,
+                packed: median(&mut throughput[slot].clone()),
+                improvement_pct: (median(&mut ratios) - 1.0) * 100.0,
+            });
+        }
+        entries.extend(best.into_iter().flatten());
     }
     let (tree_entries, tree_comparisons) = run_e7_tree(quick);
     E7Report {
-        schema: "bakery-bench/e7/v2".to_string(),
+        schema: "bakery-bench/e7/v3".to_string(),
         experiment: "E7 contended throughput".to_string(),
         quick,
         cpus: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
@@ -716,44 +702,38 @@ fn run_e7_tree(quick: bool) -> (Vec<TreeE7Entry>, Vec<TreeThroughputComparison>)
     (entries, comparisons)
 }
 
-/// Pairs padded/packed measurements sharing (algorithm, size) and computes
-/// the improvement percentage.
+/// Pairs each packed lock's measurement with the reference lock's at the
+/// same size and computes the improvement percentage.
 fn comparisons_of<E>(
     entries: &[E],
-    key: impl Fn(&E) -> (String, usize, String, f64),
+    key: impl Fn(&E) -> (String, usize, f64),
     improvement: impl Fn(f64, f64) -> f64,
 ) -> Vec<Comparison> {
-    let keyed: Vec<(String, usize, String, f64)> = entries.iter().map(key).collect();
-    let mut comparisons = Vec::new();
-    for (algorithm, size, mode, padded_value) in &keyed {
-        if mode != "padded" {
-            continue;
-        }
-        let packed_value = keyed
-            .iter()
-            .find(|(a, s, m, _)| a == algorithm && s == size && m == "packed")
-            .map(|(_, _, _, v)| *v);
-        if let Some(packed_value) = packed_value {
-            comparisons.push(Comparison {
+    let keyed: Vec<(String, usize, f64)> = entries.iter().map(key).collect();
+    keyed
+        .iter()
+        .filter(|(algorithm, _, _)| algorithm != REFERENCE)
+        .filter_map(|(algorithm, size, packed)| {
+            let (_, _, reference) = keyed.iter().find(|(a, s, _)| a == REFERENCE && s == size)?;
+            Some(Comparison {
                 algorithm: algorithm.clone(),
                 processes: *size,
-                padded: *padded_value,
-                packed: packed_value,
-                improvement_pct: improvement(*padded_value, packed_value),
-            });
-        }
-    }
-    comparisons
+                reference: *reference,
+                packed: *packed,
+                improvement_pct: improvement(*reference, *packed),
+            })
+        })
+        .collect()
 }
 
 fn print_comparisons(title: &str, unit: &str, comparisons: &[Comparison]) {
     println!("\n## {title}");
-    println!("| algorithm | size | padded {unit} | packed {unit} | improvement |");
+    println!("| algorithm | size | {REFERENCE} {unit} | packed {unit} | improvement |");
     println!("|---|---|---|---|---|");
     for c in comparisons {
         println!(
             "| {} | {} | {:.1} | {:.1} | {:+.1}% |",
-            c.algorithm, c.processes, c.padded, c.packed, c.improvement_pct
+            c.algorithm, c.processes, c.reference, c.packed, c.improvement_pct
         );
     }
 }
@@ -913,14 +893,12 @@ bakery_json::json_object!(E12Entry {
 #[derive(Debug, Clone)]
 struct E12ProbeEntry {
     site: String,
-    mode: String,
     samples: u64,
     recovery_ns_mean: f64,
     recovery_ns_max: u64,
 }
 bakery_json::json_object!(E12ProbeEntry {
     site,
-    mode,
     samples,
     recovery_ns_mean,
     recovery_ns_max,
@@ -999,20 +977,17 @@ fn run_e12(quick: bool) -> E12Report {
     }
     let samples = if quick { 8 } else { 32 };
     let mut probe = Vec::new();
-    for mode in [bakery_core::ScanMode::Packed, bakery_core::ScanMode::Padded] {
-        for site in [CrashSite::L2, CrashSite::L3] {
-            let result = run_probe(site, mode, samples);
-            probe.push(E12ProbeEntry {
-                site: result.site.name().to_string(),
-                mode: format!("{mode:?}").to_lowercase(),
-                samples: result.recovery.len() as u64,
-                recovery_ns_mean: result.recovery.mean_ns(),
-                recovery_ns_max: result.recovery.max_ns(),
-            });
-        }
+    for site in [CrashSite::L2, CrashSite::L3] {
+        let result = run_probe(site, samples);
+        probe.push(E12ProbeEntry {
+            site: result.site.name().to_string(),
+            samples: result.recovery.len() as u64,
+            recovery_ns_mean: result.recovery.mean_ns(),
+            recovery_ns_max: result.recovery.max_ns(),
+        });
     }
     E12Report {
-        schema: "bakery-bench/e12/v1".to_string(),
+        schema: "bakery-bench/e12/v2".to_string(),
         experiment: "E12 kill-and-recover: crash injection over the live lock stack".to_string(),
         quick,
         entries,
@@ -1305,13 +1280,12 @@ fn main() -> ExitCode {
             );
         }
         println!("\n## E12 probe — dead ticket holders (raw bakery++)");
-        println!("| site | mode | samples | recovery µs mean/max |");
-        println!("|---|---|---|---|");
+        println!("| site | samples | recovery µs mean/max |");
+        println!("|---|---|---|");
         for entry in &e12.probe {
             println!(
-                "| {} | {} | {} | {:.1}/{:.1} |",
+                "| {} | {} | {:.1}/{:.1} |",
                 entry.site,
-                entry.mode,
                 entry.samples,
                 entry.recovery_ns_mean / 1_000.0,
                 entry.recovery_ns_max as f64 / 1_000.0,
@@ -1377,9 +1351,8 @@ fn main() -> ExitCode {
         eprintln!("wrote {path}");
     }
 
-    // Sanity guards so CI catches a perf or correctness regression loudly:
-    // Bakery++ must never overflow, and the packed mode must not be slower
-    // uncontended at any measured size.
+    // Sanity guards so CI catches a correctness regression loudly: Bakery++
+    // must never overflow.
     let pp_overflows: u64 = e6
         .iter()
         .flat_map(|e6| {

@@ -115,7 +115,6 @@ use std::sync::Arc;
 use crate::bakery_pp::BakeryPlusPlusLock;
 use crate::raw::RawMutexAlgorithm;
 use crate::slots::SlotAllocator;
-use crate::snapshot::ScanMode;
 use crate::stats::{LockStats, StatsSnapshot};
 use crate::sync::{AtomicU64, Ordering};
 use crate::tree::{TreeBakery, DEFAULT_TREE_ARITY};
@@ -248,17 +247,8 @@ impl AdaptiveBakery {
     /// default low watermark) and default tree arity.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_mode(n, ScanMode::Packed)
-    }
-
-    /// Creates an adaptive lock with the default thresholds and an explicit
-    /// [`ScanMode`] — the constructor the registry uses, so factory-built
-    /// locks can never drift from [`AdaptiveBakery::new`]'s tuning.
-    #[must_use]
-    pub fn with_mode(n: usize, mode: ScanMode) -> Self {
         Self::with_hysteresis(
             n,
-            mode,
             Self::default_capacity_threshold(n),
             DEFAULT_CONTENTION_THRESHOLD,
             Self::default_low_watermark(n),
@@ -283,20 +273,14 @@ impl AdaptiveBakery {
     }
 
     /// Creates a **forward-only** adaptive lock (PR 4 semantics: the reverse
-    /// leg is disabled, `low_watermark = 0`).  The [`ScanMode`] applies to
-    /// both planes; the flat plane uses the default Bakery++ bound, the tree
-    /// its per-node `M = K + 1`.
+    /// leg is disabled, `low_watermark = 0`).  The flat plane uses the
+    /// default Bakery++ bound, the tree its per-node `M = K + 1`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     #[must_use]
-    pub fn with_config(
-        n: usize,
-        mode: ScanMode,
-        capacity_threshold: usize,
-        contention_threshold: u64,
-    ) -> Self {
-        Self::with_hysteresis(n, mode, capacity_threshold, contention_threshold, 0, 1)
+    pub fn with_config(n: usize, capacity_threshold: usize, contention_threshold: u64) -> Self {
+        Self::with_hysteresis(n, capacity_threshold, contention_threshold, 0, 1)
     }
 
     /// Creates an adaptive lock with every knob explicit, including the
@@ -315,7 +299,6 @@ impl AdaptiveBakery {
     #[must_use]
     pub fn with_hysteresis(
         n: usize,
-        mode: ScanMode,
         capacity_threshold: usize,
         contention_threshold: u64,
         low_watermark: usize,
@@ -323,7 +306,6 @@ impl AdaptiveBakery {
     ) -> Self {
         Self::with_hysteresis_and_strategy(
             n,
-            mode,
             capacity_threshold,
             contention_threshold,
             low_watermark,
@@ -344,7 +326,6 @@ impl AdaptiveBakery {
     #[must_use]
     pub fn with_hysteresis_and_strategy(
         n: usize,
-        mode: ScanMode,
         capacity_threshold: usize,
         contention_threshold: u64,
         low_watermark: usize,
@@ -365,16 +346,14 @@ impl AdaptiveBakery {
             );
         }
         Self {
-            flat: BakeryPlusPlusLock::with_bound_mode_and_strategy(
+            flat: BakeryPlusPlusLock::with_bound_and_strategy(
                 n,
                 crate::bakery_pp::DEFAULT_PP_BOUND,
-                mode,
                 Arc::clone(&strategy),
             ),
             tree: TreeBakery::with_config_and_strategy(
                 n,
                 DEFAULT_TREE_ARITY.min(n.max(2)),
-                mode,
                 Arc::clone(&strategy),
             ),
             epoch: AtomicU64::new(EPOCH_FLAT),
@@ -898,7 +877,7 @@ mod tests {
 
     #[test]
     fn capacity_threshold_uses_session_counters() {
-        let lock = AdaptiveBakery::with_config(8, ScanMode::Packed, 3, u64::MAX);
+        let lock = AdaptiveBakery::with_config(8, 3, u64::MAX);
         let slot = lock.register().unwrap();
         lock.stats().record_attach();
         lock.stats().record_attach();
@@ -911,7 +890,7 @@ mod tests {
 
     #[test]
     fn detaches_count_against_the_live_threshold() {
-        let lock = AdaptiveBakery::with_config(8, ScanMode::Packed, 2, u64::MAX);
+        let lock = AdaptiveBakery::with_config(8, 2, u64::MAX);
         for _ in 0..5 {
             lock.stats().record_attach();
             lock.stats().record_detach();
@@ -926,7 +905,7 @@ mod tests {
         // low_watermark 2, quiet_period 4: with no live sessions and no
         // concurrent acquirers, the 4th quiet tree release fires the reverse
         // trigger and the next acquisition helps the drain flip back to FLAT.
-        let lock = AdaptiveBakery::with_hysteresis(4, ScanMode::Packed, 3, u64::MAX, 2, 4);
+        let lock = AdaptiveBakery::with_hysteresis(4, 3, u64::MAX, 2, 4);
         let slot = lock.register().unwrap();
         lock.trigger_migration();
         drop(lock.lock(&slot)); // helps the forward drain, enters via tree
@@ -954,7 +933,7 @@ mod tests {
 
     #[test]
     fn live_sessions_above_the_low_watermark_hold_the_tree() {
-        let lock = AdaptiveBakery::with_hysteresis(4, ScanMode::Packed, 3, u64::MAX, 1, 2);
+        let lock = AdaptiveBakery::with_hysteresis(4, 3, u64::MAX, 1, 2);
         let slot = lock.register().unwrap();
         lock.trigger_migration();
         drop(lock.lock(&slot));
@@ -976,7 +955,7 @@ mod tests {
 
     #[test]
     fn epoch_word_is_strictly_monotone_across_two_round_trips() {
-        let lock = AdaptiveBakery::with_hysteresis(4, ScanMode::Packed, 3, u64::MAX, 2, 1);
+        let lock = AdaptiveBakery::with_hysteresis(4, 3, u64::MAX, 2, 1);
         let slot = lock.register().unwrap();
         let mut last = lock.epoch();
         assert_eq!(last, 0);
@@ -1014,7 +993,7 @@ mod tests {
     fn forward_contention_baseline_resets_across_a_round_trip() {
         // Trip forward on contention, come back on quiet, and verify the old
         // contention cannot instantly re-trigger (flap) the next forward leg.
-        let lock = AdaptiveBakery::with_hysteresis(4, ScanMode::Packed, 3, 10, 2, 1);
+        let lock = AdaptiveBakery::with_hysteresis(4, 3, 10, 2, 1);
         let slot = lock.register().unwrap();
         lock.flat().stats().record_doorway_waits(50); // past the threshold
         // This acquire fires the forward trigger, self-helps the drain and
@@ -1038,7 +1017,7 @@ mod tests {
 
     #[test]
     fn with_config_disables_the_reverse_leg() {
-        let lock = AdaptiveBakery::with_config(4, ScanMode::Packed, 2, u64::MAX);
+        let lock = AdaptiveBakery::with_config(4, 2, u64::MAX);
         assert_eq!(lock.low_watermark(), 0);
         let slot = lock.register().unwrap();
         lock.trigger_migration();
@@ -1052,7 +1031,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly below")]
     fn low_watermark_must_sit_below_the_capacity_threshold() {
-        let _ = AdaptiveBakery::with_hysteresis(8, ScanMode::Packed, 3, u64::MAX, 3, 4);
+        let _ = AdaptiveBakery::with_hysteresis(8, 3, u64::MAX, 3, 4);
     }
 
     #[test]
@@ -1061,7 +1040,7 @@ mod tests {
         // mid-run, so acquisitions cross the FLAT -> DRAIN -> TREE handoff
         // under real contention.  (Forward-only config: the one-way assertions
         // below would race a hysteresis-driven reverse on a serialised runner.)
-        let lock = Arc::new(AdaptiveBakery::with_config(4, ScanMode::Packed, 4, u64::MAX));
+        let lock = Arc::new(AdaptiveBakery::with_config(4, 4, u64::MAX));
         let in_cs = StdAtomicU64::new(0);
         let total = StdAtomicU64::new(0);
         std::thread::scope(|scope| {
@@ -1103,7 +1082,6 @@ mod tests {
         // thread, and a final burst re-exercises the flat plane of cycle 1.
         let lock = Arc::new(AdaptiveBakery::with_hysteresis(
             4,
-            ScanMode::Packed,
             3,
             u64::MAX,
             2,
@@ -1202,7 +1180,6 @@ mod tests {
                 .min(capacity_threshold - 1);
             let lock = Arc::new(AdaptiveBakery::with_hysteresis(
                 4,
-                ScanMode::Packed,
                 capacity_threshold,
                 u64::MAX,
                 low_watermark,

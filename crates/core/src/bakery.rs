@@ -1,4 +1,5 @@
-//! Lamport's original Bakery algorithm (Algorithm 1 of the paper).
+//! Lamport's original Bakery algorithm (Algorithm 1 of the paper) and the
+//! lock body it shares with Bakery++.
 //!
 //! ```text
 //! L1: choosing[i] := 1;
@@ -11,6 +12,14 @@
 //!     number[i] := 0;
 //! ```
 //!
+//! Algorithms 1 and 2 differ only in their doorway, so one lock body,
+//! [`Bakery`], holds everything they share: the register file, the `L2`/`L3`
+//! scan, the `try_acquire` back-out, the crash rule and the
+//! [`RawMutexAlgorithm`] impl.  A [`Doorway`] type parameter supplies the
+//! rest: [`Classic`] (below, next to its listing) and
+//! [`PlusPlus`](crate::bakery_pp::PlusPlus) (next to Algorithm 2's listing in
+//! [`crate::bakery_pp`]).
+//!
 //! The algorithm assumes *unbounded* registers.  [`BakeryLock`] makes the
 //! register bound explicit: with the default bound (`u64::MAX`) it behaves as
 //! the textbook algorithm, and with a small bound it exhibits exactly the
@@ -20,21 +29,46 @@
 //! mutual exclusion.  Experiments **E1** and **E2** demonstrate both halves.
 //!
 //! Besides the blocking [`RawMutexAlgorithm::acquire`] path the lock exposes the
-//! two protocol phases separately — [`BakeryLock::try_doorway`] and
-//! [`BakeryLock::await_turn`] — so the experiment harness can replay the
+//! two protocol phases separately — [`Bakery::try_doorway`] and
+//! [`Bakery::await_turn`] — so the experiment harness can replay the
 //! paper's prose scenarios deterministically without spawning threads.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::raw::{DoorwayOutcome, RawMutexAlgorithm};
 use crate::registers::{OverflowPolicy, RegisterFile};
 use crate::slots::SlotAllocator;
-use crate::snapshot::{PackedSnapshot, ScanMode};
 use crate::stats::LockStats;
 use crate::sync::{fence, Ordering};
 use crate::ticket::{Ticket, TicketOrder};
 use crate::wait::{WaitHandle, WaitSite, WaitStrategy, WaitToken};
 use crate::DEFAULT_BOUND;
+
+/// What distinguishes one bakery algorithm from another: its doorway.
+pub trait Doorway: Sized {
+    /// The name [`RawMutexAlgorithm::algorithm_name`] reports.
+    const NAME: &'static str;
+    /// True when a zeroed ticket must also wake the `L1` admission guard
+    /// (Bakery++'s guard watches every register; the classic doorway has
+    /// none).
+    const GUARDED: bool;
+    /// One pass through the doorway for `pid` (already range-checked).
+    fn pass(lock: &Bakery<Self>, pid: usize) -> DoorwayOutcome;
+}
+
+/// A bakery lock for up to `N` processes: the shared body of Algorithms 1
+/// and 2, parameterised by its [`Doorway`].  Use it through the
+/// [`BakeryLock`] and [`BakeryPlusPlusLock`](crate::BakeryPlusPlusLock)
+/// aliases.
+#[derive(Debug)]
+pub struct Bakery<D> {
+    pub(crate) file: RegisterFile,
+    slots: Arc<SlotAllocator>,
+    pub(crate) stats: LockStats,
+    pub(crate) waits: WaitHandle,
+    doorway: PhantomData<fn() -> D>,
+}
 
 /// Lamport's Bakery lock for up to `N` processes.
 ///
@@ -45,12 +79,53 @@ use crate::DEFAULT_BOUND;
 /// let slot = lock.register().unwrap();
 /// let _guard = lock.lock(&slot);
 /// ```
+pub type BakeryLock = Bakery<Classic>;
+
+/// Algorithm 1's doorway: draw `1 + maximum(...)`, with no guard.
 #[derive(Debug)]
-pub struct BakeryLock {
-    file: RegisterFile,
-    slots: Arc<SlotAllocator>,
-    stats: LockStats,
-    waits: WaitHandle,
+pub struct Classic;
+
+impl Doorway for Classic {
+    const NAME: &'static str = "bakery";
+    const GUARDED: bool = false;
+
+    /// The classic algorithm has no guard, so this never blocks and never
+    /// resets; the only non-`Ticket` outcome is
+    /// [`DoorwayOutcome::Overflowed`] when the register bound is exceeded.
+    fn pass(lock: &Bakery<Self>, pid: usize) -> DoorwayOutcome {
+        lock.file.write_choosing(pid, true);
+        // Handshake fence #1: the `choosing[i] := 1` store must be globally
+        // visible before the maximum scan's loads.  Two processes in the
+        // doorway simultaneously must not *both* miss each other — the
+        // SC-fence pairing with fence #2 / the scan of the other process
+        // guarantees at least one side observes the other (the Dekker
+        // store-load lemma).
+        fence(Ordering::SeqCst); // mem: doorway-dekker.choosing
+        let max = lock.file.packed().max_number();
+        // `max + 1` may exceed the register bound; the register applies the
+        // configured policy and records the overflow.  This is the exact
+        // failure point the paper's Section 3 identifies.
+        let attempted = max.saturating_add(1);
+        let event = lock.file.write_number(pid, attempted, &lock.stats);
+        let stored = event.map_or(attempted, |ev| ev.stored);
+        lock.stats.record_ticket(stored);
+        // Handshake fence #2: the ticket store must be visible before this
+        // process's L2/L3 loads (including the fast-path emptiness check),
+        // pairing with fence #1 of any concurrent chooser.
+        fence(Ordering::SeqCst); // mem: doorway-dekker.ticket
+        lock.file.write_choosing(pid, false);
+        // `choosing[i] := 0` releases every L2 waiter watching this word.
+        // The ticket store needs no notify: a doorway write only raises a
+        // register from zero, which can never flip an L3 wait to "pass".
+        lock.waits.notify(lock.choosing_site(pid));
+        match event {
+            Some(ev) => DoorwayOutcome::Overflowed {
+                attempted: ev.attempted,
+                stored: ev.stored,
+            },
+            None => DoorwayOutcome::Ticket(stored),
+        }
+    }
 }
 
 impl BakeryLock {
@@ -68,43 +143,39 @@ impl BakeryLock {
         Self::with_bound_and_policy(n, bound, OverflowPolicy::Wrap)
     }
 
-    /// Creates a Bakery lock with an explicit bound and overflow policy (in
-    /// the default packed scan mode).
+    /// Creates a Bakery lock with an explicit bound and overflow policy.
     #[must_use]
     pub fn with_bound_and_policy(n: usize, bound: u64, policy: OverflowPolicy) -> Self {
-        Self::with_config(n, bound, policy, ScanMode::Packed)
-    }
-
-    /// Creates a Bakery lock with every knob explicit, including the
-    /// [`ScanMode`] ([`ScanMode::Padded`] reproduces the seed's per-register
-    /// SeqCst scan for baseline measurements and ablations).
-    #[must_use]
-    pub fn with_config(n: usize, bound: u64, policy: OverflowPolicy, mode: ScanMode) -> Self {
-        Self::with_config_and_strategy(n, bound, policy, mode, crate::wait::default_strategy())
+        Self::with_config_and_strategy(n, bound, policy, crate::wait::default_strategy())
     }
 
     /// Creates a Bakery lock with an explicit [`WaitStrategy`] for its
-    /// `L2`/`L3` wait loops (on top of every [`Self::with_config`] knob).
+    /// `L2`/`L3` wait loops (on top of [`Self::with_bound_and_policy`]).
     #[must_use]
     pub fn with_config_and_strategy(
         n: usize,
         bound: u64,
         policy: OverflowPolicy,
-        mode: ScanMode,
+        strategy: Arc<dyn WaitStrategy>,
+    ) -> Self {
+        Self::from_parts(n, bound, policy, strategy)
+    }
+}
+
+impl<D: Doorway> Bakery<D> {
+    pub(crate) fn from_parts(
+        n: usize,
+        bound: u64,
+        policy: OverflowPolicy,
         strategy: Arc<dyn WaitStrategy>,
     ) -> Self {
         Self {
-            file: RegisterFile::with_mode(n, bound, policy, mode),
+            file: RegisterFile::new(n, bound, policy),
             slots: SlotAllocator::new(n),
             stats: LockStats::new(),
             waits: WaitHandle::new(strategy),
+            doorway: PhantomData,
         }
-    }
-
-    /// The scan mode this lock was built with.
-    #[must_use]
-    pub fn scan_mode(&self) -> ScanMode {
-        self.file.mode()
     }
 
     /// The wait plane this lock's blocking paths run through.
@@ -113,16 +184,33 @@ impl BakeryLock {
         &self.waits
     }
 
+    /// The register bound `M`.
+    #[must_use]
+    pub fn bound(&self) -> u64 {
+        self.file.bound()
+    }
+
     /// The shared register file (read-only view used by tests and experiments).
     #[must_use]
     pub fn registers(&self) -> &RegisterFile {
         &self.file
     }
 
-    /// The ticket this process currently holds (0 when idle).
+    /// The ticket this process currently holds (0 when idle or resetting).
     #[must_use]
     pub fn current_ticket(&self, pid: usize) -> Ticket {
         Ticket::new(self.file.read_number(pid), pid)
+    }
+
+    /// The `L2` wait site for `pid`'s choosing bit (one bitmap word covers
+    /// 64 pids).
+    pub(crate) fn choosing_site(&self, pid: usize) -> WaitSite {
+        self.waits.choosing(pid / 64)
+    }
+
+    /// The `L3` wait site for `pid`'s ticket (one site per lane word).
+    pub(crate) fn ticket_site(&self, pid: usize) -> WaitSite {
+        self.waits.ticket(self.file.packed().lane_word(pid))
     }
 
     /// Emulates a crash/restart of process `pid` outside its critical section
@@ -130,144 +218,188 @@ impl BakeryLock {
     pub fn crash_reset(&self, pid: usize) {
         self.file.reset_process(pid);
         // Both registers flipped to zero: wake L2 waiters on the choosing
-        // word, L3 waiters on the ticket word, and async lock futures.
-        self.waits.notify(choosing_site(&self.waits, &self.file, pid));
-        self.waits.notify(ticket_site(&self.waits, &self.file, pid));
+        // word, L3 waiters on the ticket word, L1 waiters (the crashed
+        // register may have been the one holding the situation
+        // illegitimate) and async lock futures.
+        self.waits.notify(self.choosing_site(pid));
+        self.waits.notify(self.ticket_site(pid));
+        if D::GUARDED {
+            self.waits.notify(self.waits.guard());
+        }
         self.waits.notify(self.waits.release());
     }
 
-    /// One pass through the doorway: draw the ticket `1 + maximum(...)`.
+    /// True when some register currently holds a value `≥ M` — the paper's
+    /// *illegitimate situation* that Bakery++'s `L1` guard waits out.
     ///
-    /// The classic algorithm has no guard, so this never blocks and never
-    /// resets; the only non-`Ticket` outcome is
-    /// [`DoorwayOutcome::Overflowed`] when the register bound is exceeded.
+    /// Since every register individually holds a value `≤ M`,
+    /// `∃q: number[q] ≥ M` is equivalent to `maximum ≥ M`, answered from the
+    /// packed plane in `O(N/8)` word reads.
+    #[must_use]
+    pub fn situation_is_illegitimate(&self) -> bool {
+        self.file.packed().max_number() >= self.file.bound()
+    }
+
+    /// One non-blocking pass through the doorway (see [`Classic`] and
+    /// [`PlusPlus`](crate::bakery_pp::PlusPlus) for the outcomes each can
+    /// return).  The blocking [`RawMutexAlgorithm::acquire`] retries it
+    /// until a ticket is obtained; the harness records the intermediate
+    /// outcomes for experiments **E1** and **E6**.
+    ///
+    /// # Panics
+    /// Panics if `pid` is not below the lock's capacity.
     pub fn try_doorway(&self, pid: usize) -> DoorwayOutcome {
         assert!(pid < self.capacity(), "pid {pid} out of range");
-        self.file.write_choosing(pid, true);
-        let max = match self.file.packed() {
-            Some(packed) => {
-                // Handshake fence #1: the `choosing[i] := 1` store must be
-                // globally visible before the maximum scan's loads.  Two
-                // processes in the doorway simultaneously must not *both*
-                // miss each other — the SC-fence pairing with fence #2 / the
-                // scan of the other process guarantees at least one side
-                // observes the other (the Dekker store-load lemma).
-                fence(Ordering::SeqCst); // mem: doorway-dekker.choosing
-                packed.max_number()
-            }
-            // Padded baseline: the seed's per-register SeqCst scan.
-            None => TicketOrder::maximum(&self.file.snapshot_numbers()),
-        };
-        // `max + 1` may exceed the register bound; the register applies the
-        // configured policy and records the overflow.  This is the exact
-        // failure point the paper's Section 3 identifies.
-        let attempted = max.saturating_add(1);
-        let event = self.file.write_number(pid, attempted, &self.stats);
-        let stored = self.file.read_number(pid);
-        self.stats.record_ticket(stored);
-        if self.file.packed().is_some() {
-            // Handshake fence #2: the ticket store must be visible before
-            // this process's L2/L3 loads (including the fast-path emptiness
-            // check), pairing with fence #1 of any concurrent chooser.
-            fence(Ordering::SeqCst); // mem: doorway-dekker.ticket
-        }
-        self.file.write_choosing(pid, false);
-        // `choosing[i] := 0` releases every L2 waiter watching this word.
-        // The ticket store needs no notify: a doorway write only raises a
-        // register from zero, which can never flip an L3 wait to "pass".
-        self.waits.notify(choosing_site(&self.waits, &self.file, pid));
-        match event {
-            Some(ev) => DoorwayOutcome::Overflowed {
-                attempted: ev.attempted,
-                stored: ev.stored,
-            },
-            None => DoorwayOutcome::Ticket(stored),
-        }
+        D::pass(self, pid)
     }
 
     /// The scan (`L2`/`L3`): wait until every other process is done choosing
     /// and no other process holds a smaller `(number, pid)` pair.
     ///
-    /// In packed mode an empty-bakery check against the snapshot plane gives
-    /// the uncontended **fast path**: when no other process is choosing or
-    /// holds a ticket, the whole per-contender loop is skipped after reading
-    /// `O(N/8)` words instead of `2N` padded cache lines.
+    /// An empty-bakery check against the packed plane gives the uncontended
+    /// **fast path**: when no other process is choosing or holds a ticket,
+    /// the whole per-contender loop is skipped after reading `O(N/8)` words.
     pub fn await_turn(&self, pid: usize) {
-        match self.file.packed() {
-            Some(packed) => await_turn_packed(&self.file, packed, pid, &self.stats, &self.waits),
-            None => await_turn_padded(&self.file, pid, &self.stats, &self.waits),
-        }
+        self.scan::<true>(pid);
     }
 
     /// Non-blocking check of the scan condition: would process `pid` be
     /// allowed into the critical section right now?
     #[must_use]
     pub fn may_enter(&self, pid: usize) -> bool {
-        let me = Ticket::new(self.file.read_number(pid), pid);
-        if me.is_idle() {
-            return false;
+        self.file.read_number(pid) != 0 && self.scan::<false>(pid)
+    }
+
+    /// The `L2`/`L3` loops, identical in Algorithms 1 and 2.  With `BLOCK`
+    /// each predicate is waited out and the scan always returns `true`;
+    /// without it the same reads answer "would this wait?" and the scan
+    /// returns `false` at the first predicate that would.
+    ///
+    /// The fast path first reads the choosing bitmap and then the ticket
+    /// lanes — the same `L2`-before-`L3` order as the per-process loops — and
+    /// an all-zero observation is exactly the evidence on which every
+    /// `L2`/`L3` iteration would fall through without waiting, so skipping
+    /// the loop is behaviourally identical to running it against those reads.
+    fn scan<const BLOCK: bool>(&self, pid: usize) -> bool {
+        let packed = self.file.packed();
+        if !packed.has_other_contenders(pid) {
+            if BLOCK {
+                self.stats.record_fast_path_hit();
+            }
+            return true;
         }
-        (0..self.file.len()).all(|j| {
-            if j == pid {
-                return true;
+        let wh = &self.waits;
+        let mut waits = 0u64;
+        for j in (0..packed.len()).filter(|&j| j != pid) {
+            // Fresh escalation state per watched contender, reset between the
+            // L2 and L3 predicates — the episode policy the wait contract pins.
+            let mut token = WaitToken::new();
+            let l2 = self.choosing_site(j);
+            // L2: wait while process j is choosing.
+            while packed.choosing(j) {
+                if !BLOCK {
+                    return false;
+                }
+                waits += 1;
+                wh.wait(l2, &mut token, &mut || packed.choosing(j));
             }
-            if self.file.read_choosing(j) {
-                return false;
+            token.reset();
+            let l3 = self.ticket_site(j);
+            // L3: wait while process j holds a smaller (number, pid) pair.
+            let mut behind_j = || {
+                let me = Ticket::new(packed.number(pid), pid);
+                TicketOrder::must_wait_for(me, Ticket::new(packed.number(j), j))
+            };
+            while behind_j() {
+                if !BLOCK {
+                    return false;
+                }
+                waits += 1;
+                wh.wait(l3, &mut token, &mut behind_j);
             }
-            let other = Ticket::new(self.file.read_number(j), j);
-            !TicketOrder::must_wait_for(me, other)
-        })
+        }
+        self.stats.record_doorway_waits(waits);
+        true
+    }
+
+    /// Zeroes `pid`'s ticket and wakes what that can unblock: `L3` waiters
+    /// ordered behind it and, under a guarded doorway, `L1` waiters.
+    fn withdraw(&self, pid: usize) {
+        self.file.write_number(pid, 0, &self.stats);
+        self.waits.notify(self.ticket_site(pid));
+        if D::GUARDED {
+            self.waits.notify(self.waits.guard());
+        }
     }
 }
 
-impl RawMutexAlgorithm for BakeryLock {
+impl<D: Doorway> RawMutexAlgorithm for Bakery<D> {
     fn capacity(&self) -> usize {
         self.file.len()
     }
 
     fn acquire(&self, pid: usize) {
-        let _ = self.try_doorway(pid);
+        // One wait episode across the whole doorway retry loop: Blocked and
+        // Reset both re-watch the same admission predicate, so escalation
+        // carries across retries (the episode-policy exception the wait
+        // contract documents).  The classic doorway never returns either.
+        let mut token = WaitToken::new();
+        let mut l1_rounds = 0u64;
+        loop {
+            let outcome = self.try_doorway(pid);
+            if outcome.took_ticket() {
+                break;
+            }
+            l1_rounds += u64::from(outcome == DoorwayOutcome::Blocked);
+            self.waits.wait(self.waits.guard(), &mut token, &mut || {
+                self.situation_is_illegitimate()
+            });
+        }
+        self.stats.record_l1_waits(l1_rounds);
         self.await_turn(pid);
     }
 
     fn release(&self, pid: usize) {
-        self.file.write_number(pid, 0, &self.stats);
-        // The zero store flips the L3 predicate of every waiter ordered
-        // behind this ticket; the release pulse serves the async futures.
-        self.waits.notify(ticket_site(&self.waits, &self.file, pid));
+        // The zero store may flip L3 waits behind this ticket and
+        // re-legitimise the situation for L1 waiters; the release pulse
+        // serves the async lock futures.
+        self.withdraw(pid);
         self.waits.notify(self.waits.release());
     }
 
     fn try_acquire(&self, pid: usize) -> bool {
-        // Draw a ticket, then evaluate the L2/L3 condition once instead of
-        // waiting on it.  A failed attempt backs out by resetting the pid's
-        // own registers — observationally a doorway crash, which the paper's
-        // assumptions 1.5–1.7 explicitly permit.
-        let _ = self.try_doorway(pid);
-        if self.may_enter(pid) {
-            true
-        } else {
-            self.file.write_number(pid, 0, &self.stats);
-            self.waits.notify(ticket_site(&self.waits, &self.file, pid));
-            false
+        // One doorway pass (Blocked/Reset already leave the registers clean),
+        // then one non-blocking evaluation of the L2/L3 condition.  Backing
+        // out of a held ticket resets the pid's own registers — the paper's
+        // doorway-crash rule (assumptions 1.5–1.7), so safety is unaffected.
+        if !self.try_doorway(pid).took_ticket() {
+            return false;
         }
+        if self.may_enter(pid) {
+            return true;
+        }
+        self.withdraw(pid);
+        false
     }
 
     fn crash_abort(&self, pid: usize) -> bool {
-        // The paper's crash rule, identical to `crash_reset`: the pid's
-        // `choosing`/`number` registers (and packed-mirror lanes) read zero
-        // and the restarted process re-enters from its noncritical section.
+        // The paper's crash rule is exactly `crash_reset`: zero the pid's
+        // `choosing`/`number` registers so the restarted process re-enters
+        // from the noncritical section.  This is the same backout
+        // `try_acquire` performs on its failure path, applicable from *any*
+        // pre-CS point.
         self.crash_reset(pid);
         self.stats.record_crash_abort();
         true
     }
 
     fn algorithm_name(&self) -> &'static str {
-        "bakery"
+        D::NAME
     }
 
     fn shared_word_count(&self) -> usize {
-        // choosing[1..N] and number[1..N]
+        // choosing[1..N] and number[1..N]; the constant M is not a shared
+        // variable.
         2 * self.file.len()
     }
 
@@ -290,115 +422,6 @@ impl RawMutexAlgorithm for BakeryLock {
     fn as_raw(&self) -> &dyn RawMutexAlgorithm {
         self
     }
-}
-
-/// The `L2` wait site for `pid`'s choosing register (one packed bitmap word
-/// covers 64 pids; padded mode keys per pid).
-pub(crate) fn choosing_site(wh: &WaitHandle, file: &RegisterFile, pid: usize) -> WaitSite {
-    match file.packed() {
-        Some(_) => wh.choosing(pid / 64),
-        None => wh.choosing(pid),
-    }
-}
-
-/// The `L3` wait site for `pid`'s ticket register (packed mode keys per lane
-/// word; padded mode per pid).
-pub(crate) fn ticket_site(wh: &WaitHandle, file: &RegisterFile, pid: usize) -> WaitSite {
-    match file.packed() {
-        Some(packed) => wh.ticket(packed.lane_word(pid)),
-        None => wh.ticket(pid),
-    }
-}
-
-/// The `L2`/`L3` scan over the packed snapshot plane, shared by Bakery and
-/// Bakery++ (the loops are identical in Algorithms 1 and 2).
-///
-/// The fast path first reads the choosing bitmap and then the ticket lanes —
-/// the same `L2`-before-`L3` order as the per-process loops — and an all-zero
-/// observation is exactly the evidence on which every `L2`/`L3` iteration of
-/// the classic loop would fall through without waiting, so skipping the loop
-/// is behaviourally identical to running it against those reads.
-pub(crate) fn await_turn_packed(
-    file: &RegisterFile,
-    packed: &PackedSnapshot,
-    pid: usize,
-    stats: &LockStats,
-    wh: &WaitHandle,
-) {
-    if !packed.has_other_contenders(pid) {
-        stats.record_fast_path_hit();
-        return;
-    }
-    let n = file.len();
-    let mut waits = 0u64;
-    for j in 0..n {
-        if j == pid {
-            continue;
-        }
-        // Fresh escalation state per watched contender, reset between the L2
-        // and L3 predicates — the episode policy the wait contract pins.
-        let mut token = WaitToken::new();
-        let l2 = wh.choosing(j / 64);
-        // L2: wait while process j is choosing (one bitmap word covers 64 js).
-        while packed.choosing(j) {
-            waits += 1;
-            wh.wait(l2, &mut token, &mut || packed.choosing(j));
-        }
-        token.reset();
-        let l3 = wh.ticket(packed.lane_word(j));
-        // L3: wait while process j holds a smaller (number, pid) pair.
-        loop {
-            let me = Ticket::new(packed.number(pid), pid);
-            let other = Ticket::new(packed.number(j), j);
-            if !TicketOrder::must_wait_for(me, other) {
-                break;
-            }
-            waits += 1;
-            wh.wait(l3, &mut token, &mut || {
-                let me = Ticket::new(packed.number(pid), pid);
-                let other = Ticket::new(packed.number(j), j);
-                TicketOrder::must_wait_for(me, other)
-            });
-        }
-    }
-    stats.record_doorway_waits(waits);
-}
-
-/// The `L2`/`L3` scan against the padded authoritative registers with SeqCst
-/// loads — the seed's exact wait loop, kept for [`ScanMode::Padded`].
-pub(crate) fn await_turn_padded(file: &RegisterFile, pid: usize, stats: &LockStats, wh: &WaitHandle) {
-    let n = file.len();
-    let mut waits = 0u64;
-    for j in 0..n {
-        if j == pid {
-            continue;
-        }
-        // Fresh escalation state per watched contender (see the packed scan).
-        let mut token = WaitToken::new();
-        let l2 = wh.choosing(j);
-        // L2: wait while process j is choosing.
-        while file.read_choosing(j) {
-            waits += 1;
-            wh.wait(l2, &mut token, &mut || file.read_choosing(j));
-        }
-        token.reset();
-        let l3 = wh.ticket(j);
-        // L3: wait while process j holds a smaller (number, pid) pair.
-        loop {
-            let me = Ticket::new(file.read_number(pid), pid);
-            let other = Ticket::new(file.read_number(j), j);
-            if !TicketOrder::must_wait_for(me, other) {
-                break;
-            }
-            waits += 1;
-            wh.wait(l3, &mut token, &mut || {
-                let me = Ticket::new(file.read_number(pid), pid);
-                let other = Ticket::new(file.read_number(j), j);
-                TicketOrder::must_wait_for(me, other)
-            });
-        }
-    }
-    stats.record_doorway_waits(waits);
 }
 
 #[cfg(all(test, not(loom)))]
@@ -553,6 +576,18 @@ mod tests {
     }
 
     #[test]
+    fn may_enter_refuses_while_another_process_is_choosing() {
+        let lock = BakeryLock::new(3);
+        assert!(lock.try_doorway(0).took_ticket());
+        lock.file.write_choosing(2, true);
+        assert!(!lock.may_enter(0), "L2: a chooser must be waited out");
+        lock.file.write_choosing(2, false);
+        assert!(lock.may_enter(0));
+        assert_eq!(lock.stats().fast_path_hits(), 0, "no fast-path hit counted");
+        lock.release(0);
+    }
+
+    #[test]
     fn metadata_accessors() {
         let lock = BakeryLock::with_bound(3, 7);
         assert_eq!(lock.capacity(), 3);
@@ -565,7 +600,6 @@ mod tests {
     #[test]
     fn uncontended_acquires_take_the_fast_path() {
         let lock = BakeryLock::new(4);
-        assert_eq!(lock.scan_mode(), ScanMode::Packed);
         let slot = lock.register().unwrap();
         for _ in 0..25 {
             let _g = lock.lock(&slot);
@@ -584,46 +618,6 @@ mod tests {
         lock.release(1);
         lock.await_turn(0);
         lock.release(0);
-    }
-
-    #[test]
-    fn padded_mode_reproduces_seed_behaviour() {
-        let lock = BakeryLock::with_config(2, 5, OverflowPolicy::Wrap, ScanMode::Padded);
-        assert_eq!(lock.scan_mode(), ScanMode::Padded);
-        assert!(lock.registers().packed().is_none());
-        let slot = lock.register().unwrap();
-        for _ in 0..10 {
-            let _g = lock.lock(&slot);
-        }
-        assert_eq!(lock.stats().cs_entries(), 10);
-        assert_eq!(lock.stats().fast_path_hits(), 0, "padded mode has no fast path");
-    }
-
-    #[test]
-    fn padded_mode_mutual_exclusion_under_contention() {
-        let lock = Arc::new(BakeryLock::with_config(
-            4,
-            crate::DEFAULT_BOUND,
-            OverflowPolicy::Wrap,
-            ScanMode::Padded,
-        ));
-        let in_cs = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let lock = Arc::clone(&lock);
-                let in_cs = Arc::clone(&in_cs);
-                scope.spawn(move || {
-                    let slot = lock.register().unwrap();
-                    for _ in 0..300 {
-                        let _g = lock.lock(&slot);
-                        let inside = in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        assert_eq!(inside, 0, "mutual exclusion violated");
-                        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(lock.stats().cs_entries(), 1200);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!     number[i] := 0;
 //! ```
 //!
-//! The two additions over Algorithm 1 are kept structurally identical to the
-//! paper so the implementation can be audited line by line:
+//! Only the doorway differs from Algorithm 1, so [`PlusPlus`] is a
+//! [`Doorway`] of the shared [`Bakery`] body (which runs the identical
+//! `L2`/`L3` scan).  The two additions over Algorithm 1 are kept structurally
+//! identical to the paper so the implementation can be audited line by line:
 //!
 //! 1. the **`L1` admission guard** — a process refuses to start choosing while
 //!    any register already holds a value `≥ M` (an *illegitimate situation* in
@@ -32,19 +34,17 @@
 //! guarded by `maximum(...) < M`, no store can ever exceed `M` — the paper's
 //! Theorem (§6.1), verified exhaustively by experiment **E2**, checked at
 //! runtime by the register file's `Panic` overflow policy, and visible as
-//! [`LockStats::overflow_attempts`] remaining zero.
+//! [`LockStats::overflow_attempts`](crate::LockStats::overflow_attempts)
+//! remaining zero.
 
 use std::sync::Arc;
 
-use crate::bakery::{await_turn_packed, await_turn_padded, choosing_site, ticket_site};
-use crate::raw::{DoorwayOutcome, RawMutexAlgorithm};
-use crate::registers::{OverflowPolicy, RegisterFile};
-use crate::slots::SlotAllocator;
+use crate::bakery::{Bakery, Doorway};
+use crate::raw::DoorwayOutcome;
+use crate::registers::OverflowPolicy;
 use crate::snapshot::ScanMode;
-use crate::stats::LockStats;
 use crate::sync::{fence, Ordering};
-use crate::ticket::{Ticket, TicketOrder};
-use crate::wait::{WaitHandle, WaitStrategy, WaitToken};
+use crate::wait::WaitStrategy;
 
 /// Default register bound used by [`BakeryPlusPlusLock::new`]: the largest
 /// value a 16-bit register can hold.  Small enough that the overflow-avoidance
@@ -65,13 +65,69 @@ pub const DEFAULT_PP_BOUND: u64 = u16::MAX as u64;
 /// }
 /// assert_eq!(lock.stats().overflow_attempts(), 0);
 /// ```
+pub type BakeryPlusPlusLock = Bakery<PlusPlus>;
+
+/// Algorithm 2's doorway: the `L1` guard plus the pre-increment check.
 #[derive(Debug)]
-pub struct BakeryPlusPlusLock {
-    file: RegisterFile,
-    slots: Arc<SlotAllocator>,
-    stats: LockStats,
-    bound: u64,
-    waits: WaitHandle,
+pub struct PlusPlus;
+
+impl Doorway for PlusPlus {
+    const NAME: &'static str = "bakery++";
+    const GUARDED: bool = true;
+
+    /// Outcomes:
+    /// * [`DoorwayOutcome::Blocked`] — the `L1` guard saw a register `≥ M`;
+    /// * [`DoorwayOutcome::Reset`] — the observed maximum was `≥ M`, so the
+    ///   process reset its registers (`number[i] := 0; choosing[i] := 0`);
+    /// * [`DoorwayOutcome::Ticket`] — a ticket `maximum + 1 ≤ M` was stored.
+    fn pass(lock: &Bakery<Self>, pid: usize) -> DoorwayOutcome {
+        // L1: if ∃ q : number[q] >= M then retry later.
+        if lock.situation_is_illegitimate() {
+            return DoorwayOutcome::Blocked;
+        }
+        let (file, stats, waits) = (&lock.file, &lock.stats, &lock.waits);
+        file.write_choosing(pid, true);
+        // Handshake fence #1 (see `Classic::pass`): the `choosing[i] := 1`
+        // store must be visible before the scan's loads, so two concurrent
+        // choosers cannot both miss each other.
+        fence(Ordering::SeqCst); // mem: doorway-dekker.choosing
+        let max = file.packed().max_number();
+        let bound = file.bound();
+        // Store the maximum first, exactly as Algorithm 2 does.  Every
+        // register individually holds a value <= M, so max <= M and this store
+        // can never overflow.
+        debug_assert!(max <= bound);
+        file.write_number(pid, max, stats);
+
+        if max >= bound {
+            // Reset branch: number[i] := 0; choosing[i] := 0; goto L1.
+            file.write_number(pid, 0, stats);
+            file.write_choosing(pid, false);
+            stats.record_reset();
+            // The transient `number[i] := max` parked at M was itself an
+            // illegitimate-situation source; zeroing it may unblock both L1
+            // waiters and L3 waiters ordered behind the transient value.
+            waits.notify(lock.ticket_site(pid));
+            waits.notify(lock.choosing_site(pid));
+            waits.notify(waits.guard());
+            return DoorwayOutcome::Reset;
+        }
+
+        // Safe to increment: max < M implies max + 1 <= M.
+        file.write_number(pid, max + 1, stats);
+        stats.record_ticket(max + 1);
+        // Handshake fence #2: the ticket store must be visible before the
+        // L2/L3 loads (including the fast-path emptiness check).
+        fence(Ordering::SeqCst); // mem: doorway-dekker.ticket
+        file.write_choosing(pid, false);
+        // Unlike the classic doorway, the `max → max + 1` increment *can*
+        // flip a tie-breaking L3 wait to "pass" (a waiter with the same
+        // ticket and a higher pid stops losing the lexicographic comparison
+        // to the transient `max`), so the ticket site is notified too.
+        waits.notify(lock.ticket_site(pid));
+        waits.notify(lock.choosing_site(pid));
+        DoorwayOutcome::Ticket(max + 1)
+    }
 }
 
 impl BakeryPlusPlusLock {
@@ -91,23 +147,26 @@ impl BakeryPlusPlusLock {
     /// assumes `M ≥ 1` since tickets start at 1).
     #[must_use]
     pub fn with_bound(n: usize, bound: u64) -> Self {
-        Self::with_bound_and_mode(n, bound, ScanMode::Packed)
+        Self::with_bound_and_strategy(n, bound, crate::wait::default_strategy())
     }
 
-    /// Creates a Bakery++ lock with an explicit [`ScanMode`]
-    /// ([`ScanMode::Padded`] reproduces the seed's per-register SeqCst scan
-    /// for baseline measurements and ablations).
+    /// Creates a Bakery++ lock with an explicit [`WaitStrategy`] for its
+    /// `L1`/`L2`/`L3` wait loops.
     ///
     /// # Panics
     /// Panics if `bound == 0` (see [`BakeryPlusPlusLock::with_bound`]).
     #[must_use]
-    pub fn with_bound_and_mode(n: usize, bound: u64, mode: ScanMode) -> Self {
-        Self::with_bound_mode_and_strategy(n, bound, mode, crate::wait::default_strategy())
+    pub fn with_bound_and_strategy(n: usize, bound: u64, strategy: Arc<dyn WaitStrategy>) -> Self {
+        assert!(bound >= 1, "the register bound M must be at least 1");
+        // The Panic policy documents the Theorem: if Bakery++ ever asked the
+        // register file to store a value above M, that would be a bug in this
+        // crate and we want the loudest possible failure.
+        Self::from_parts(n, bound, OverflowPolicy::Panic, strategy)
     }
 
-    /// Creates a Bakery++ lock with an explicit [`WaitStrategy`] for its
-    /// `L1`/`L2`/`L3` wait loops (on top of every
-    /// [`BakeryPlusPlusLock::with_bound_and_mode`] knob).
+    /// [`BakeryPlusPlusLock::with_bound_and_strategy`] under the signature
+    /// the repository benchmark (`perfbench/`) is built against; nothing
+    /// else calls it.
     ///
     /// # Panics
     /// Panics if `bound == 0` (see [`BakeryPlusPlusLock::with_bound`]).
@@ -115,284 +174,17 @@ impl BakeryPlusPlusLock {
     pub fn with_bound_mode_and_strategy(
         n: usize,
         bound: u64,
-        mode: ScanMode,
+        _mode: ScanMode,
         strategy: Arc<dyn WaitStrategy>,
     ) -> Self {
-        assert!(bound >= 1, "the register bound M must be at least 1");
-        Self {
-            // The Panic policy documents the Theorem: if Bakery++ ever asked
-            // the register file to store a value above M, that would be a bug
-            // in this crate and we want the loudest possible failure.
-            file: RegisterFile::with_mode(n, bound, OverflowPolicy::Panic, mode),
-            slots: SlotAllocator::new(n),
-            stats: LockStats::new(),
-            bound,
-            waits: WaitHandle::new(strategy),
-        }
-    }
-
-    /// The scan mode this lock was built with.
-    #[must_use]
-    pub fn scan_mode(&self) -> ScanMode {
-        self.file.mode()
-    }
-
-    /// The wait plane this lock's blocking paths run through.
-    #[must_use]
-    pub fn wait_plane(&self) -> &WaitHandle {
-        &self.waits
-    }
-
-    /// The register bound `M`.
-    #[must_use]
-    pub fn bound(&self) -> u64 {
-        self.bound
-    }
-
-    /// The shared register file (read-only view used by tests and experiments).
-    #[must_use]
-    pub fn registers(&self) -> &RegisterFile {
-        &self.file
-    }
-
-    /// The ticket this process currently holds (0 when idle or resetting).
-    #[must_use]
-    pub fn current_ticket(&self, pid: usize) -> Ticket {
-        Ticket::new(self.file.read_number(pid), pid)
-    }
-
-    /// Emulates a crash/restart of process `pid` outside its critical section
-    /// (paper assumptions 1.5–1.7): both of its registers are reset to zero.
-    pub fn crash_reset(&self, pid: usize) {
-        self.file.reset_process(pid);
-        // Both registers flipped to zero: wake L2/L3 waiters on the affected
-        // words, L1 waiters (the crashed register may have been the one
-        // holding the situation illegitimate) and async lock futures.
-        self.waits.notify(choosing_site(&self.waits, &self.file, pid));
-        self.waits.notify(ticket_site(&self.waits, &self.file, pid));
-        self.waits.notify(self.waits.guard());
-        self.waits.notify(self.waits.release());
-    }
-
-    /// True when some register currently holds a value `≥ M` — the paper's
-    /// *illegitimate situation* that the `L1` guard waits out.
-    ///
-    /// Since every register individually holds a value `≤ M`, "∃q:
-    /// number[q] ≥ M" is equivalent to "maximum ≥ M", which packed mode
-    /// answers from the snapshot plane in `O(N/8)` word reads.
-    #[must_use]
-    pub fn situation_is_illegitimate(&self) -> bool {
-        match self.file.packed() {
-            Some(packed) => packed.max_number() >= self.bound,
-            None => (0..self.file.len()).any(|q| self.file.read_number(q) >= self.bound),
-        }
-    }
-
-    /// One non-blocking pass through Algorithm 2's doorway.
-    ///
-    /// Outcomes:
-    /// * [`DoorwayOutcome::Blocked`] — the `L1` guard saw a register `≥ M`;
-    /// * [`DoorwayOutcome::Reset`] — the observed maximum was `≥ M`, so the
-    ///   process reset its registers (`number[i] := 0; choosing[i] := 0`);
-    /// * [`DoorwayOutcome::Ticket`] — a ticket `maximum + 1 ≤ M` was stored.
-    ///
-    /// The blocking [`RawMutexAlgorithm::acquire`] simply retries this until a
-    /// ticket is obtained; the harness records the intermediate outcomes for
-    /// experiments **E1** and **E6**.
-    pub fn try_doorway(&self, pid: usize) -> DoorwayOutcome {
-        assert!(pid < self.capacity(), "pid {pid} out of range");
-        // L1: if ∃ q : number[q] >= M then retry later.
-        if self.situation_is_illegitimate() {
-            return DoorwayOutcome::Blocked;
-        }
-        self.file.write_choosing(pid, true);
-        let max = match self.file.packed() {
-            Some(packed) => {
-                // Handshake fence #1 (see `bakery::try_doorway`): the
-                // `choosing[i] := 1` store must be visible before the scan's
-                // loads, so two concurrent choosers cannot both miss each
-                // other.
-                fence(Ordering::SeqCst); // mem: doorway-dekker.choosing
-                packed.max_number()
-            }
-            // Padded baseline: the seed's per-register SeqCst scan.
-            None => TicketOrder::maximum(&self.file.snapshot_numbers()),
-        };
-        // Store the maximum first, exactly as Algorithm 2 does.  Every
-        // register individually holds a value <= M, so max <= M and this store
-        // can never overflow.
-        debug_assert!(max <= self.bound);
-        self.file.write_number(pid, max, &self.stats);
-
-        if max >= self.bound {
-            // Reset branch: number[i] := 0; choosing[i] := 0; goto L1.
-            self.file.write_number(pid, 0, &self.stats);
-            self.file.write_choosing(pid, false);
-            self.stats.record_reset();
-            // The transient `number[i] := max` parked at M was itself an
-            // illegitimate-situation source; zeroing it may unblock both L1
-            // waiters and L3 waiters ordered behind the transient value.
-            self.waits.notify(ticket_site(&self.waits, &self.file, pid));
-            self.waits.notify(choosing_site(&self.waits, &self.file, pid));
-            self.waits.notify(self.waits.guard());
-            return DoorwayOutcome::Reset;
-        }
-
-        // Safe to increment: max < M implies max + 1 <= M.
-        self.file.write_number(pid, max + 1, &self.stats);
-        self.stats.record_ticket(max + 1);
-        if self.file.packed().is_some() {
-            // Handshake fence #2: the ticket store must be visible before the
-            // L2/L3 loads (including the fast-path emptiness check).
-            fence(Ordering::SeqCst); // mem: doorway-dekker.ticket
-        }
-        self.file.write_choosing(pid, false);
-        // Unlike the classic doorway, the `max → max + 1` increment *can*
-        // flip a tie-breaking L3 wait to "pass" (a waiter with the same
-        // ticket and a higher pid stops losing the lexicographic comparison
-        // to the transient `max`), so the ticket site is notified too.
-        self.waits.notify(ticket_site(&self.waits, &self.file, pid));
-        self.waits.notify(choosing_site(&self.waits, &self.file, pid));
-        DoorwayOutcome::Ticket(max + 1)
-    }
-
-    /// The scan loops `L2`/`L3`, identical to the original Bakery — including
-    /// the packed-mode empty-bakery fast path (see
-    /// [`crate::bakery::BakeryLock::await_turn`]).
-    pub fn await_turn(&self, pid: usize) {
-        match self.file.packed() {
-            Some(packed) => await_turn_packed(&self.file, packed, pid, &self.stats, &self.waits),
-            None => await_turn_padded(&self.file, pid, &self.stats, &self.waits),
-        }
-    }
-
-    /// Non-blocking check of the scan condition: would process `pid` be
-    /// allowed into the critical section right now?
-    #[must_use]
-    pub fn may_enter(&self, pid: usize) -> bool {
-        let me = Ticket::new(self.file.read_number(pid), pid);
-        if me.is_idle() {
-            return false;
-        }
-        (0..self.file.len()).all(|j| {
-            if j == pid {
-                return true;
-            }
-            if self.file.read_choosing(j) {
-                return false;
-            }
-            let other = Ticket::new(self.file.read_number(j), j);
-            !TicketOrder::must_wait_for(me, other)
-        })
-    }
-}
-
-impl RawMutexAlgorithm for BakeryPlusPlusLock {
-    fn capacity(&self) -> usize {
-        self.file.len()
-    }
-
-    fn acquire(&self, pid: usize) {
-        // One wait episode across the whole doorway retry loop: Blocked and
-        // Reset both re-watch the same admission predicate, so escalation
-        // carries across retries (the episode-policy exception the wait
-        // contract documents).
-        let mut token = WaitToken::new();
-        let guard = self.waits.guard();
-        let mut l1_rounds = 0u64;
-        loop {
-            match self.try_doorway(pid) {
-                DoorwayOutcome::Ticket(_) => break,
-                DoorwayOutcome::Blocked => {
-                    l1_rounds += 1;
-                    self.waits
-                        .wait(guard, &mut token, &mut || self.situation_is_illegitimate());
-                }
-                DoorwayOutcome::Reset => {
-                    self.waits
-                        .wait(guard, &mut token, &mut || self.situation_is_illegitimate());
-                }
-                DoorwayOutcome::Overflowed { .. } => {
-                    unreachable!("Bakery++ never overflows (paper §6.1)")
-                }
-            }
-        }
-        self.stats.record_l1_waits(l1_rounds);
-        self.await_turn(pid);
-    }
-
-    fn release(&self, pid: usize) {
-        self.file.write_number(pid, 0, &self.stats);
-        // The zero store may flip L3 waits behind this ticket, re-legitimise
-        // the situation for L1 waiters, and release async lock futures.
-        self.waits.notify(ticket_site(&self.waits, &self.file, pid));
-        self.waits.notify(self.waits.guard());
-        self.waits.notify(self.waits.release());
-    }
-
-    fn try_acquire(&self, pid: usize) -> bool {
-        // One doorway pass (Blocked/Reset already leave the registers clean),
-        // then one non-blocking evaluation of the L2/L3 condition.  Backing
-        // out of a held ticket resets the pid's own registers — the paper's
-        // doorway-crash rule (assumptions 1.5–1.7), so safety is unaffected.
-        if !self.try_doorway(pid).took_ticket() {
-            return false;
-        }
-        if self.may_enter(pid) {
-            true
-        } else {
-            self.file.write_number(pid, 0, &self.stats);
-            self.waits.notify(ticket_site(&self.waits, &self.file, pid));
-            self.waits.notify(self.waits.guard());
-            false
-        }
-    }
-
-    fn crash_abort(&self, pid: usize) -> bool {
-        // The paper's crash rule is exactly `crash_reset`: zero the pid's
-        // `choosing`/`number` registers (and their packed-mirror lanes) so
-        // the restarted process re-enters from the noncritical section.
-        // This is the same backout `try_acquire` performs on its failure
-        // path, applicable from *any* pre-CS point.
-        self.crash_reset(pid);
-        self.stats.record_crash_abort();
-        true
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "bakery++"
-    }
-
-    fn shared_word_count(&self) -> usize {
-        // Identical shared footprint to the original Bakery: choosing[1..N]
-        // and number[1..N].  The constant M is not a shared variable.
-        2 * self.file.len()
-    }
-
-    fn register_bound(&self) -> Option<u64> {
-        Some(self.bound)
-    }
-
-    fn slot_allocator(&self) -> &Arc<SlotAllocator> {
-        &self.slots
-    }
-
-    fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    fn wait_handle(&self) -> Option<&WaitHandle> {
-        Some(&self.waits)
-    }
-
-    fn as_raw(&self) -> &dyn RawMutexAlgorithm {
-        self
+        Self::with_bound_and_strategy(n, bound, strategy)
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::raw::RawMutexAlgorithm;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -558,7 +350,6 @@ mod tests {
     #[test]
     fn uncontended_acquires_take_the_fast_path() {
         let lock = BakeryPlusPlusLock::with_bound(4, 65_535);
-        assert_eq!(lock.scan_mode(), crate::snapshot::ScanMode::Packed);
         let slot = lock.register().unwrap();
         for _ in 0..50 {
             let _g = lock.lock(&slot);
@@ -572,10 +363,10 @@ mod tests {
     fn mutual_exclusion_with_u8_lanes_under_contention() {
         // M = 255 with 40 slots selects u8 ticket lanes: the four active
         // contenders (slots 0..3) share one packed word, the tightest
-        // false-sharing configuration of the mirror.
+        // false-sharing configuration of the plane.
         let lock = Arc::new(BakeryPlusPlusLock::with_bound(40, 255));
         assert_eq!(
-            lock.registers().packed().unwrap().width(),
+            lock.registers().packed().width(),
             crate::snapshot::LaneWidth::U8
         );
         let in_cs = Arc::new(AtomicU64::new(0));
@@ -596,33 +387,6 @@ mod tests {
         assert_eq!(lock.stats().cs_entries(), 1600);
         assert_eq!(lock.stats().overflow_attempts(), 0);
         assert!(lock.stats().max_ticket() <= 255);
-    }
-
-    #[test]
-    fn padded_mode_mutual_exclusion_under_contention() {
-        let lock = Arc::new(BakeryPlusPlusLock::with_bound_and_mode(
-            4,
-            1000,
-            crate::snapshot::ScanMode::Padded,
-        ));
-        assert!(lock.registers().packed().is_none());
-        let in_cs = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let lock = Arc::clone(&lock);
-                let in_cs = Arc::clone(&in_cs);
-                scope.spawn(move || {
-                    let slot = lock.register().unwrap();
-                    for _ in 0..300 {
-                        let _g = lock.lock(&slot);
-                        assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0);
-                        in_cs.fetch_sub(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(lock.stats().cs_entries(), 1200);
-        assert_eq!(lock.stats().fast_path_hits(), 0);
     }
 
     #[test]

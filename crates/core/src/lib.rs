@@ -12,7 +12,7 @@
 //!   enforces with [`Slot`] ownership tokens;
 //! * registers are **bounded**: a register created with bound `M` can never
 //!   hold a value above `M`, and any attempt to store a larger value is an
-//!   *overflow* which is either reported, saturated, wrapped or turned into a
+//!   *overflow* which is counted and then saturated, wrapped or turned into a
 //!   panic depending on the configured [`OverflowPolicy`];
 //! * the classic [`BakeryLock`](bakery::BakeryLock) exhibits exactly the
 //!   failure mode the paper's Section 3 describes once its registers are
@@ -43,13 +43,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`ticket`] | bounded ticket values and the paper's lexicographic `(number, pid)` order |
-//! | [`registers`] | bounded single-writer registers, register files, overflow accounting |
-//! | [`snapshot`] | the packed snapshot plane: choosing bitmap + dense ticket lanes, scan modes |
+//! | [`registers`] | the register file: bounded single-writer registers, overflow accounting |
+//! | [`snapshot`] | the packed snapshot plane: choosing bitmap + dense ticket lanes |
 //! | [`slots`] | process slot allocation (which thread plays which process id) |
 //! | [`raw`] | the object-safe [`RawMutexAlgorithm`] trait every lock implements |
 //! | [`guard`] | RAII critical-section guards |
-//! | [`bakery`] | Lamport's original Bakery algorithm (Algorithm 1 of the paper) |
-//! | [`bakery_pp`] | Bakery++ (Algorithm 2 of the paper) |
+//! | [`bakery`] | the [`Bakery`] lock body shared by both algorithms, and Algorithm 1's doorway |
+//! | [`bakery_pp`] | Bakery++: Algorithm 2's doorway |
 //! | [`tree`] | tournament-of-bounded-bakeries: the K-ary [`TreeBakery`] composite |
 //! | [`session`] | dynamic membership: pid-slot leasing with RAII [`Session`]s |
 //! | [`asession`] | async session clients: cancellation-safe `attach().await` / `lock().await` |
@@ -60,20 +60,19 @@
 //!
 //! ## The packed snapshot plane
 //!
-//! The authoritative [`RegisterFile`] keeps each register in its own
-//! cache-padded slot so single writers never false-share, but that makes the
-//! doorway's `maximum(...)` scan and the `L2`/`L3` wait loops touch `N`
-//! cache lines per pass.  In the default [`ScanMode::Packed`] the file also
-//! maintains a [`PackedSnapshot`] mirror — a one-bit-per-process `choosing`
-//! bitmap plus `u8`/`u16`/`u64` ticket lanes chosen from the bound `M` — so
-//! scans read `O(N/8)` words, and an empty-bakery check gives an uncontended
-//! **fast path** that skips the wait loops entirely (counted by
-//! [`LockStats::fast_path_hits`]).  The mirror is a performance cache only:
-//! the padded plane remains the source of truth for the paper's SWMR
-//! discipline and overflow accounting, and every lane update is a single
-//! atomic splice, so readers stay within the paper's safe-register model.
-//! [`ScanMode::Padded`] preserves the seed's layout and orderings as a
-//! like-for-like baseline (see the `bench-json` binary in `bakery-bench`).
+//! The doorway's `maximum(...)` scan and the `L2`/`L3` wait loops read every
+//! process's registers, so [`RegisterFile`] stores them packed for the
+//! readers: a [`PackedSnapshot`] of one `choosing` bit per process plus
+//! `u8`/`u16`/`u64` ticket lanes chosen from the bound `M`.  Scans read
+//! `O(N/8)` words, and an empty-bakery check gives an uncontended **fast
+//! path** that skips the wait loops entirely (counted by
+//! [`LockStats::fast_path_hits`]).  The plane is the only copy of the
+//! registers: a write applies the overflow policy, then lands once, in its
+//! owner's bit or lane, as one atomic operation — so readers of a shared
+//! word stay within the paper's safe-register model.  The `bakery-seqcst`
+//! baseline in `bakery-baselines` keeps the textbook one-atomic-per-register
+//! layout with `SeqCst` throughout, as the reference the `bench-json` binary
+//! in `bakery-bench` compares against.
 //!
 //! ## The tree plane
 //!
@@ -94,16 +93,17 @@
 //! ## Memory ordering
 //!
 //! The paper's model assumes registers that are at least *safe* and an
-//! interleaving semantics of whole read/write operations.  In
-//! [`ScanMode::Padded`] every protocol access is `SeqCst`, exactly as the
-//! seed implementation.  In [`ScanMode::Packed`] the locks use
-//! release stores / acquire loads plus **two targeted `SeqCst` fences** per
-//! doorway pass — one between `choosing[i] := 1` and the maximum scan, one
-//! between the ticket store and the `L2`/`L3` loads — which are the only
-//! store→load orderings the correctness argument needs (the Dekker-style
-//! handshakes; cf. van Glabbeek, Luttik & Spronck, *Just Verification of
-//! Mutual Exclusion Algorithms*, on how little of SC the Bakery proof
-//! actually uses).  The choice is exercised by the loom tests in
+//! interleaving semantics of whole read/write operations.  The locks write
+//! their registers as single-lane atomic splices with `Release` ordering —
+//! `fetch_or`/`fetch_and` on the choosing bitmap, a CAS on narrow ticket
+//! lanes, a plain store on full-word lanes — and read them with `Acquire`
+//! loads.  On top of that sit **two targeted `SeqCst` fences** per doorway
+//! pass — one between `choosing[i] := 1` and the maximum scan, one between
+//! the ticket store and the `L2`/`L3` loads — which are the only store→load
+//! orderings the correctness argument needs (the Dekker-style handshakes;
+//! cf. van Glabbeek, Luttik & Spronck, *Just Verification of Mutual
+//! Exclusion Algorithms*, on how little of SC the Bakery proof actually
+//! uses).  The choice is exercised by the loom tests in
 //! `crates/core/tests/loom.rs` and the `ablation`/`bench-json` benchmarks.
 //! The abstract, paper-level semantics (including safe-register reads that
 //! may return arbitrary values) are model checked by the companion
@@ -131,12 +131,12 @@ pub mod tree;
 pub mod wait;
 
 pub use adaptive::AdaptiveBakery;
-pub use bakery::BakeryLock;
+pub use bakery::{Bakery, BakeryLock};
 pub use bakery_pp::{BakeryPlusPlusLock, DEFAULT_PP_BOUND};
 pub use guard::CriticalSectionGuard;
 pub use raw::{DoorwayOutcome, LockError, RawMutexAlgorithm};
 
-pub use registers::{BoundedRegister, OverflowEvent, OverflowPolicy, RegisterFile};
+pub use registers::{OverflowEvent, OverflowPolicy, RegisterFile};
 pub use session::{
     ReapReport, RecoveredSeat, Session, SessionError, SessionGuard, SessionPlane, LEASE_FOREVER,
 };

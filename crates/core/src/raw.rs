@@ -162,10 +162,10 @@ pub trait RawMutexAlgorithm: Send + Sync {
     /// section with all of its own registers reading zero.
     ///
     /// Returns `true` when the abort completed: every register owned by
-    /// `pid` (including any packed-mirror lanes) reads zero and the pid may
-    /// re-enter from scratch.  Returns `false` when the algorithm cannot
-    /// implement the rule — the conservative default, used by baseline locks
-    /// whose protocol state is not per-process resettable.
+    /// `pid` reads zero and the pid may re-enter from scratch.  Returns
+    /// `false` when the algorithm cannot implement the rule — the
+    /// conservative default, used by baseline locks whose protocol state is
+    /// not per-process resettable.
     ///
     /// # Safety contract
     /// The caller must guarantee that `pid`'s driving thread is **dead or

@@ -2,8 +2,8 @@
 //!
 //! The paper's Section 3 defines an *overflow* as the attempt to store a value
 //! `v > M` in a register of a machine whose registers can hold at most `M`.
-//! [`BoundedRegister`] makes that machine limit explicit: every store goes
-//! through a bound check, and what happens on overflow is decided by an
+//! [`RegisterFile`] makes that machine limit explicit: every `number` store
+//! goes through a bound check, and what happens on overflow is decided by an
 //! [`OverflowPolicy`].  The classic Bakery lock uses the policy to *emulate*
 //! what a real machine would do (wrap or saturate), which is exactly how the
 //! Section 3 failure scenario is reproduced; Bakery++ never triggers the
@@ -11,17 +11,16 @@
 //!
 //! [`RegisterFile`] groups the `choosing[1..N]` and `number[1..N]` arrays and
 //! enforces the paper's single-writer discipline: writes require the process
-//! id and only touch that process's own cells.  The type is deliberately the
-//! only way the lock implementations can reach the shared memory, so "no
-//! process writes into another process's memory" holds by construction.
+//! id and only touch that process's own bit or lane.  The type is deliberately
+//! the only way the lock implementations can reach the shared memory, so "no
+//! process writes into another process's memory" holds by construction.  The
+//! registers themselves live in one [`PackedSnapshot`] (see
+//! [`crate::snapshot`]): each write lands once, in its owner's bit or lane.
 
 use std::fmt;
 
-use crossbeam::utils::CachePadded;
-
 use crate::snapshot::{PackedSnapshot, ScanMode};
 use crate::stats::LockStats;
-use crate::sync::{AtomicU64, Ordering};
 
 /// What a bounded register does when asked to store a value above its bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -38,10 +37,6 @@ pub enum OverflowPolicy {
     Saturate,
     /// Panic immediately.  Useful in tests that assert overflow freedom.
     Panic,
-    /// Store `value mod (M + 1)` but keep counting the events; identical to
-    /// [`OverflowPolicy::Wrap`] at the register level, separated so reports
-    /// can distinguish "we knew and accepted" from "silent wrap".
-    Report,
 }
 
 impl OverflowPolicy {
@@ -52,7 +47,7 @@ impl OverflowPolicy {
     pub fn resolve(self, value: u64, bound: u64) -> u64 {
         debug_assert!(value > bound);
         match self {
-            OverflowPolicy::Wrap | OverflowPolicy::Report => {
+            OverflowPolicy::Wrap => {
                 if bound == u64::MAX {
                     value
                 } else {
@@ -73,7 +68,6 @@ impl fmt::Display for OverflowPolicy {
             OverflowPolicy::Wrap => "wrap",
             OverflowPolicy::Saturate => "saturate",
             OverflowPolicy::Panic => "panic",
-            OverflowPolicy::Report => "report",
         };
         f.write_str(name)
     }
@@ -102,170 +96,60 @@ impl fmt::Display for OverflowEvent {
     }
 }
 
-/// A single bounded register backed by an atomic word.
-///
-/// The register itself is multi-reader; write discipline (single writer) is
-/// enforced one level up by [`RegisterFile`].
-#[derive(Debug)]
-pub struct BoundedRegister {
-    cell: CachePadded<AtomicU64>,
-    bound: u64,
-    policy: OverflowPolicy,
-}
-
-impl BoundedRegister {
-    /// Creates a register holding 0 with the given bound and policy.
-    #[must_use]
-    pub fn new(bound: u64, policy: OverflowPolicy) -> Self {
-        Self {
-            cell: CachePadded::new(AtomicU64::new(0)),
-            bound,
-            policy,
-        }
-    }
-
-    /// The bound `M` of this register.
-    #[must_use]
-    pub fn bound(&self) -> u64 {
-        self.bound
-    }
-
-    /// The configured overflow policy.
-    #[must_use]
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// Reads the register (SeqCst — the seed's blanket ordering, kept for the
-    /// padded scan mode and for the experiment-facing accessors).
-    #[must_use]
-    pub fn read(&self) -> u64 {
-        self.cell.load(Ordering::SeqCst) // mem: padded-register
-    }
-
-    /// Reads the register with acquire ordering (packed scan mode; the
-    /// store–load orderings the proof needs are provided by explicit fences
-    /// in the lock implementations).
-    #[must_use]
-    pub fn read_acquire(&self) -> u64 {
-        self.cell.load(Ordering::Acquire)
-    }
-
-    /// Stores a value known to be within bounds (SeqCst).
-    ///
-    /// Returns an [`OverflowEvent`] if the value was actually out of range and
-    /// the policy had to be applied — callers that believe they never overflow
-    /// (Bakery++) treat `Some` as a bug.
-    pub fn write(&self, index: usize, value: u64) -> Option<OverflowEvent> {
-        self.write_with(index, value, Ordering::SeqCst) // mem: padded-register
-    }
-
-    /// Stores with release ordering (packed scan mode).
-    pub fn write_release(&self, index: usize, value: u64) -> Option<OverflowEvent> {
-        self.write_with(index, value, Ordering::Release)
-    }
-
-    fn write_with(&self, index: usize, value: u64, order: Ordering) -> Option<OverflowEvent> {
-        if value <= self.bound {
-            self.cell.store(value, order);
-            None
-        } else {
-            let stored = self.policy.resolve(value, self.bound);
-            self.cell.store(stored, order);
-            Some(OverflowEvent {
-                register: index,
-                attempted: value,
-                bound: self.bound,
-                stored,
-            })
-        }
-    }
-
-    /// Resets the register to 0 (crash/restart semantics, assumption 1.5).
-    pub fn reset(&self) {
-        self.cell.store(0, Ordering::SeqCst); // mem: padded-register
-    }
-}
-
 /// The shared memory of one lock instance: `choosing[0..n]` and `number[0..n]`.
 ///
 /// All cells start at 0 as the paper requires.  Writes take the writing
-/// process's id and are only applied to that process's own cells; reads may
-/// target any cell.
+/// process's id and are only applied to that process's own bit or lane;
+/// reads may target any register.
 #[derive(Debug)]
 pub struct RegisterFile {
-    choosing: Box<[BoundedRegister]>,
-    number: Box<[BoundedRegister]>,
-    /// The packed mirror (`None` in [`ScanMode::Padded`], where the seed's
-    /// exact store sequence is preserved for baseline measurements).
-    packed: Option<PackedSnapshot>,
+    packed: PackedSnapshot,
     bound: u64,
     policy: OverflowPolicy,
 }
 
 impl RegisterFile {
     /// Creates a register file for `n` processes with ticket bound `M` and the
-    /// given overflow policy for the `number` registers, in the default
-    /// [`ScanMode::Packed`].
+    /// given overflow policy for the `number` registers.
     ///
-    /// The `choosing` registers are boolean-valued, so their bound is 1 and
-    /// they can never overflow regardless of policy.
+    /// The `choosing` registers are boolean-valued (one bit each), so they
+    /// can never overflow regardless of policy.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
     #[must_use]
     pub fn new(n: usize, bound: u64, policy: OverflowPolicy) -> Self {
-        Self::with_mode(n, bound, policy, ScanMode::Packed)
-    }
-
-    /// Creates a register file with an explicit [`ScanMode`].
-    #[must_use]
-    pub fn with_mode(n: usize, bound: u64, policy: OverflowPolicy, mode: ScanMode) -> Self {
         assert!(n > 0, "a lock needs at least one process slot");
-        let choosing = (0..n)
-            .map(|_| BoundedRegister::new(1, OverflowPolicy::Panic))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let number = (0..n)
-            .map(|_| BoundedRegister::new(bound, policy))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let packed = match mode {
-            ScanMode::Padded => None,
-            ScanMode::Packed => Some(PackedSnapshot::new(n, bound)),
-        };
         Self {
-            choosing,
-            number,
-            packed,
+            packed: PackedSnapshot::new(n, bound),
             bound,
             policy,
         }
     }
 
-    /// The scan mode this file was built for.
+    /// [`RegisterFile::new`] under the signature the repository benchmark
+    /// (`perfbench/`) is built against; nothing else calls it.
     #[must_use]
-    pub fn mode(&self) -> ScanMode {
-        if self.packed.is_some() {
-            ScanMode::Packed
-        } else {
-            ScanMode::Padded
-        }
+    pub fn with_mode(n: usize, bound: u64, policy: OverflowPolicy, _mode: ScanMode) -> Self {
+        Self::new(n, bound, policy)
     }
 
-    /// The packed snapshot plane, when the file runs in packed mode.
+    /// The packed plane holding the registers.
     #[must_use]
-    pub fn packed(&self) -> Option<&PackedSnapshot> {
-        self.packed.as_ref()
+    pub fn packed(&self) -> &PackedSnapshot {
+        &self.packed
     }
 
     /// Number of process slots.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.number.len()
+        self.packed.len()
     }
 
     /// True when the file has no slots (never the case for a constructed file).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.number.is_empty()
+        self.packed.is_empty()
     }
 
     /// The ticket bound `M`.
@@ -283,85 +167,48 @@ impl RegisterFile {
     /// Reads `choosing[j]`.
     #[must_use]
     pub fn read_choosing(&self, j: usize) -> bool {
-        self.choosing[j].read() != 0
+        self.packed.choosing(j)
     }
 
     /// Reads `number[j]`.
     #[must_use]
     pub fn read_number(&self, j: usize) -> u64 {
-        self.number[j].read()
-    }
-
-    /// Snapshot of all `number` registers (one non-atomic read per register,
-    /// exactly like the algorithm's `maximum(number[1], …, number[N])` scan).
-    #[must_use]
-    pub fn snapshot_numbers(&self) -> Vec<u64> {
-        self.number.iter().map(BoundedRegister::read).collect()
-    }
-
-    /// Reads `choosing[j]` with acquire ordering (packed-mode wait loops).
-    #[must_use]
-    pub fn read_choosing_acquire(&self, j: usize) -> bool {
-        self.choosing[j].read_acquire() != 0
-    }
-
-    /// Reads `number[j]` with acquire ordering (packed-mode wait loops).
-    #[must_use]
-    pub fn read_number_acquire(&self, j: usize) -> u64 {
-        self.number[j].read_acquire()
+        self.packed.number(j)
     }
 
     /// Writes `choosing[pid]`; only the owning process may call this.
-    ///
-    /// In packed mode the authoritative cell takes a release store and the
-    /// mirror bit a release RMW (authoritative first, so a reader that
-    /// observes the mirror bit also finds the cell up to date); in padded
-    /// mode the seed's SeqCst store is preserved unchanged.
     pub fn write_choosing(&self, pid: usize, value: bool) {
-        // `choosing` is 0/1-valued; the bound-1 register cannot overflow.
-        match &self.packed {
-            Some(packed) => {
-                let _ = self.choosing[pid].write_release(pid, u64::from(value));
-                packed.set_choosing(pid, value);
-            }
-            None => {
-                let _ = self.choosing[pid].write(pid, u64::from(value));
-            }
-        }
+        self.packed.set_choosing(pid, value);
     }
 
     /// Writes `number[pid]`, recording any overflow in `stats` and returning
-    /// the event if one occurred.  The packed mirror (when present) receives
-    /// the post-policy *stored* value, so a lane is never asked to hold more
-    /// than the bound.
+    /// the event if one occurred.  The policy resolves *before* the lane
+    /// write, so a lane is never asked to hold more than the bound.
     pub fn write_number(
         &self,
         pid: usize,
         value: u64,
         stats: &LockStats,
     ) -> Option<OverflowEvent> {
-        let event = match &self.packed {
-            Some(packed) => {
-                let event = self.number[pid].write_release(pid, value);
-                packed.set_number(pid, event.map_or(value, |ev| ev.stored));
-                event
-            }
-            None => self.number[pid].write(pid, value),
-        };
-        if let Some(ev) = event {
-            stats.record_overflow(ev.attempted);
+        if value <= self.bound {
+            self.packed.set_number(pid, value);
+            return None;
         }
-        event
+        let stored = self.policy.resolve(value, self.bound);
+        self.packed.set_number(pid, stored);
+        stats.record_overflow(value);
+        Some(OverflowEvent {
+            register: pid,
+            attempted: value,
+            bound: self.bound,
+            stored,
+        })
     }
 
     /// Resets both of `pid`'s registers to 0 (crash/restart, assumption 1.5).
     pub fn reset_process(&self, pid: usize) {
-        self.number[pid].reset();
-        self.choosing[pid].reset();
-        if let Some(packed) = &self.packed {
-            packed.set_number(pid, 0);
-            packed.set_choosing(pid, false);
-        }
+        self.packed.set_number(pid, 0);
+        self.packed.set_choosing(pid, false);
     }
 }
 
@@ -374,7 +221,7 @@ mod tests {
     fn policy_wrap_matches_machine_arithmetic() {
         assert_eq!(OverflowPolicy::Wrap.resolve(256, 255), 0);
         assert_eq!(OverflowPolicy::Wrap.resolve(257, 255), 1);
-        assert_eq!(OverflowPolicy::Report.resolve(300, 255), 44);
+        assert_eq!(OverflowPolicy::Wrap.resolve(300, 255), 44);
     }
 
     #[test]
@@ -393,42 +240,28 @@ mod tests {
         assert_eq!(OverflowPolicy::Wrap.to_string(), "wrap");
         assert_eq!(OverflowPolicy::Saturate.to_string(), "saturate");
         assert_eq!(OverflowPolicy::Panic.to_string(), "panic");
-        assert_eq!(OverflowPolicy::Report.to_string(), "report");
-    }
-
-    #[test]
-    fn register_starts_at_zero() {
-        let r = BoundedRegister::new(255, OverflowPolicy::Wrap);
-        assert_eq!(r.read(), 0);
-        assert_eq!(r.bound(), 255);
-        assert_eq!(r.policy(), OverflowPolicy::Wrap);
     }
 
     #[test]
     fn in_range_write_returns_no_event() {
-        let r = BoundedRegister::new(255, OverflowPolicy::Wrap);
-        assert!(r.write(0, 255).is_none());
-        assert_eq!(r.read(), 255);
+        let file = RegisterFile::new(2, 255, OverflowPolicy::Wrap);
+        let stats = LockStats::new();
+        assert!(file.write_number(1, 255, &stats).is_none());
+        assert_eq!(file.read_number(1), 255);
+        assert_eq!(file.policy(), OverflowPolicy::Wrap);
     }
 
     #[test]
     fn out_of_range_write_reports_event() {
-        let r = BoundedRegister::new(255, OverflowPolicy::Wrap);
-        let ev = r.write(3, 256).expect("overflow event");
+        let file = RegisterFile::new(4, 255, OverflowPolicy::Wrap);
+        let stats = LockStats::new();
+        let ev = file.write_number(3, 256, &stats).expect("overflow event");
         assert_eq!(ev.register, 3);
         assert_eq!(ev.attempted, 256);
         assert_eq!(ev.bound, 255);
         assert_eq!(ev.stored, 0);
-        assert_eq!(r.read(), 0);
+        assert_eq!(file.read_number(3), 0);
         assert!(ev.to_string().contains("overflow on register 3"));
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let r = BoundedRegister::new(10, OverflowPolicy::Saturate);
-        r.write(0, 7);
-        r.reset();
-        assert_eq!(r.read(), 0);
     }
 
     #[test]
@@ -436,11 +269,9 @@ mod tests {
         let file = RegisterFile::new(4, 255, OverflowPolicy::Wrap);
         assert_eq!(file.len(), 4);
         assert!(!file.is_empty());
-        for j in 0..4 {
-            assert_eq!(file.read_number(j), 0);
-            assert!(!file.read_choosing(j));
-        }
-        assert_eq!(file.snapshot_numbers(), vec![0, 0, 0, 0]);
+        assert_eq!(file.bound(), 255);
+        assert_eq!(file.packed().decode_numbers(), vec![0, 0, 0, 0]);
+        assert_eq!(file.packed().decode_choosing(), vec![false; 4]);
     }
 
     #[test]
@@ -461,25 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn padded_mode_has_no_mirror() {
-        let file = RegisterFile::with_mode(3, 255, OverflowPolicy::Wrap, ScanMode::Padded);
-        assert!(file.packed().is_none());
-        assert_eq!(file.mode(), ScanMode::Padded);
-        let stats = LockStats::new();
-        file.write_number(1, 9, &stats);
-        file.write_choosing(1, true);
-        assert_eq!(file.read_number(1), 9);
-        assert!(file.read_choosing(1));
-    }
-
-    #[test]
-    fn default_mode_is_packed_and_mirror_tracks_writes() {
+    fn writes_land_in_the_owners_bit_and_lane() {
         let file = RegisterFile::new(3, 255, OverflowPolicy::Wrap);
-        assert_eq!(file.mode(), ScanMode::Packed);
         let stats = LockStats::new();
         file.write_number(2, 77, &stats);
         file.write_choosing(0, true);
-        let packed = file.packed().expect("packed mode");
+        let packed = file.packed();
         assert_eq!(packed.decode_numbers(), vec![0, 0, 77]);
         assert_eq!(packed.decode_choosing(), vec![true, false, false]);
         file.reset_process(2);
@@ -487,47 +305,55 @@ mod tests {
     }
 
     #[test]
-    fn mirror_receives_post_policy_value_on_overflow() {
+    fn lane_receives_post_policy_value_on_overflow() {
         let file = RegisterFile::new(2, 3, OverflowPolicy::Wrap);
         let stats = LockStats::new();
         let ev = file.write_number(0, 5, &stats).expect("overflow");
         assert_eq!(ev.stored, 1); // 5 mod 4
-        assert_eq!(file.packed().unwrap().number(0), 1);
         assert_eq!(file.read_number(0), 1);
     }
 
     /// True interleaving: one writer thread per process slot hammering its own
     /// registers concurrently (the SWMR discipline), then a quiescent check
-    /// that the mirror decodes to exactly the authoritative plane.
+    /// that every lane and bit holds its owner's last write.
     #[test]
-    fn mirror_matches_file_after_concurrent_single_writer_traffic() {
+    fn lanes_hold_each_owners_last_write_after_concurrent_traffic() {
         use std::sync::Arc;
         // 40 slots picks u8/u16/u64 lanes for the three bounds; the twelve
         // writer threads below share packed words in the narrow-lane cases.
         for bound in [200u64, 60_000, u64::MAX] {
             let file = Arc::new(RegisterFile::new(40, bound, OverflowPolicy::Wrap));
             let stats = Arc::new(LockStats::new());
-            std::thread::scope(|scope| {
-                for pid in 0..12 {
-                    let file = Arc::clone(&file);
-                    let stats = Arc::clone(&stats);
-                    scope.spawn(move || {
-                        let mut value = pid as u64;
-                        for round in 0..2_000u64 {
-                            value = value.wrapping_mul(6364136223846793005).wrapping_add(round);
-                            let _ = file.write_number(pid, value % (bound / 2 + 1), &stats);
-                            file.write_choosing(pid, round % 3 == 0);
-                            if round % 97 == 0 {
-                                file.reset_process(pid);
+            let last: Vec<(u64, bool)> = std::thread::scope(|scope| {
+                let writers: Vec<_> = (0..12)
+                    .map(|pid| {
+                        let file = Arc::clone(&file);
+                        let stats = Arc::clone(&stats);
+                        scope.spawn(move || {
+                            let mut value = pid as u64;
+                            let mut last = (0, false);
+                            for round in 0..2_000u64 {
+                                value = value.wrapping_mul(6364136223846793005).wrapping_add(round);
+                                let number = value % (bound / 2 + 1);
+                                assert!(file.write_number(pid, number, &stats).is_none());
+                                file.write_choosing(pid, round % 3 == 0);
+                                last = (number, round % 3 == 0);
+                                if round % 97 == 0 {
+                                    file.reset_process(pid);
+                                    last = (0, false);
+                                }
                             }
-                        }
-                    });
-                }
+                            last
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).collect()
             });
-            let packed = file.packed().expect("packed mode");
-            assert_eq!(packed.decode_numbers(), file.snapshot_numbers(), "bound {bound}");
-            let choosing: Vec<bool> = (0..40).map(|j| file.read_choosing(j)).collect();
-            assert_eq!(packed.decode_choosing(), choosing, "bound {bound}");
+            for pid in 0..40 {
+                let (number, choosing) = last.get(pid).copied().unwrap_or((0, false));
+                assert_eq!(file.read_number(pid), number, "bound {bound} pid {pid}");
+                assert_eq!(file.read_choosing(pid), choosing, "bound {bound} pid {pid}");
+            }
         }
     }
 
@@ -553,29 +379,30 @@ mod tests {
         fn stored_value_never_exceeds_bound(
             bound in 1u64..1000,
             value in 0u64..100_000,
-            policy_idx in 0usize..3,
+            policy_idx in 0usize..2,
         ) {
-            let policy = [OverflowPolicy::Wrap, OverflowPolicy::Saturate, OverflowPolicy::Report][policy_idx];
-            let r = BoundedRegister::new(bound, policy);
-            let _ = r.write(0, value);
-            prop_assert!(r.read() <= bound);
+            let policy = [OverflowPolicy::Wrap, OverflowPolicy::Saturate][policy_idx];
+            let file = RegisterFile::new(1, bound, policy);
+            let _ = file.write_number(0, value, &LockStats::new());
+            prop_assert!(file.read_number(0) <= bound);
         }
 
         /// Wrap really is modulo arithmetic, i.e. what an (M+1)-state machine
         /// register would hold.
         #[test]
         fn wrap_is_modulo(bound in 1u64..1_000, value in 0u64..1_000_000) {
-            let r = BoundedRegister::new(bound, OverflowPolicy::Wrap);
-            let _ = r.write(0, value);
-            prop_assert_eq!(r.read(), value % (bound + 1));
+            let file = RegisterFile::new(1, bound, OverflowPolicy::Wrap);
+            let _ = file.write_number(0, value, &LockStats::new());
+            prop_assert_eq!(file.read_number(0), value % (bound + 1));
         }
 
-        /// After an arbitrary interleaved sequence of register writes, the
-        /// packed mirror decodes to exactly the `RegisterFile` contents —
-        /// for every lane width (u8, u16 and u64 lanes; with 40 slots the
-        /// adaptive rule picks exactly the width matching each bound).
+        /// After an arbitrary interleaved sequence of register writes, every
+        /// lane and bit decodes to its owner's last write (an oracle kept
+        /// beside the file) — for every lane width (u8, u16 and u64 lanes;
+        /// with 40 slots the adaptive rule picks exactly the width matching
+        /// each bound).
         #[test]
-        fn packed_mirror_decodes_to_register_file(
+        fn lanes_decode_to_each_owners_last_write(
             ops in proptest::collection::vec((0usize..40, 0u64..200_000, 0usize..4), 1..160),
             width_idx in 0usize..3,
         ) {
@@ -587,59 +414,68 @@ mod tests {
             ][width_idx];
             let file = RegisterFile::new(40, bound, OverflowPolicy::Wrap);
             let stats = LockStats::new();
+            let mut numbers = vec![0u64; 40];
+            let mut choosing = vec![false; 40];
             for &(pid, value, kind) in &ops {
                 match kind {
-                    0 | 1 => { let _ = file.write_number(pid, value, &stats); }
-                    2 => file.write_choosing(pid, value % 2 == 0),
-                    _ => file.reset_process(pid),
+                    0 | 1 => {
+                        let _ = file.write_number(pid, value, &stats);
+                        numbers[pid] =
+                            if value <= bound { value } else { OverflowPolicy::Wrap.resolve(value, bound) };
+                    }
+                    2 => {
+                        file.write_choosing(pid, value % 2 == 0);
+                        choosing[pid] = value % 2 == 0;
+                    }
+                    _ => {
+                        file.reset_process(pid);
+                        numbers[pid] = 0;
+                        choosing[pid] = false;
+                    }
                 }
             }
-            let packed = file.packed().expect("default mode is packed");
-            prop_assert_eq!(packed.width(), expected_width);
-            prop_assert_eq!(packed.decode_numbers(), file.snapshot_numbers());
-            let choosing: Vec<bool> = (0..40).map(|j| file.read_choosing(j)).collect();
-            prop_assert_eq!(packed.decode_choosing(), choosing);
+            prop_assert_eq!(file.packed().width(), expected_width);
+            prop_assert_eq!(file.packed().decode_numbers(), numbers);
+            prop_assert_eq!(file.packed().decode_choosing(), choosing);
         }
 
         /// Lane-boundary clamp: `LaneWidth::for_bound` admits the exact lane
         /// maxima (`u8::MAX`, `u16::MAX`), yet the classic doorway transiently
         /// publishes `max + 1` — one more than the widest value the lane can
-        /// hold.  The overflow policy must resolve *before* the mirror update,
-        /// so the packed lane only ever receives the post-policy value and
-        /// neighbouring lanes in the same word survive intact.
+        /// hold.  The overflow policy must resolve *before* the lane write,
+        /// so the lane only ever receives the post-policy value and
+        /// neighbouring lanes in the same word keep their owners' writes.
         #[test]
-        fn mirror_clamps_before_update_on_exact_boundary_bounds(
+        fn policy_resolves_before_the_lane_write_on_exact_boundary_bounds(
             bound_idx in 0usize..5,
-            policy_idx in 0usize..3,
+            policy_idx in 0usize..2,
             pid in 0usize..40,
             overshoot in 1u64..4,
         ) {
             let bound = [254u64, 255, 256, 65_535, 65_536][bound_idx];
-            let policy =
-                [OverflowPolicy::Wrap, OverflowPolicy::Saturate, OverflowPolicy::Report][policy_idx];
+            let policy = [OverflowPolicy::Wrap, OverflowPolicy::Saturate][policy_idx];
             // 40 slots force narrow lanes at the u8/u16 boundaries, so the
             // doorway's transient `bound + overshoot` would corrupt the
             // neighbouring lanes of the shared word if it ever reached the
-            // mirror un-clamped.
+            // plane un-clamped.
             let file = RegisterFile::new(40, bound, policy);
             let stats = LockStats::new();
             // Give the neighbours known in-range tickets first.
-            for j in 0..40 {
+            let mut numbers: Vec<u64> = (0..40).map(|j| (j as u64) % bound + 1).collect();
+            numbers[pid] = 0;
+            for (j, &number) in numbers.iter().enumerate() {
                 if j != pid {
-                    prop_assert!(file.write_number(j, (j as u64) % bound + 1, &stats).is_none());
+                    prop_assert!(file.write_number(j, number, &stats).is_none());
                 }
             }
             let attempted = bound + overshoot;
             let event = file.write_number(pid, attempted, &stats).expect("overflow event");
             prop_assert_eq!(event.attempted, attempted);
-            prop_assert_eq!(event.stored, policy.resolve(attempted, bound));
-            let packed = file.packed().expect("default mode is packed");
-            // The mirror holds the post-policy value, never the transient.
-            prop_assert!(packed.number(pid) <= bound, "lane must stay within M");
-            prop_assert_eq!(packed.number(pid), event.stored);
-            prop_assert_eq!(packed.number(pid), file.read_number(pid));
-            // Every neighbouring lane decodes to its authoritative value.
-            prop_assert_eq!(packed.decode_numbers(), file.snapshot_numbers());
+            numbers[pid] = policy.resolve(attempted, bound);
+            prop_assert_eq!(event.stored, numbers[pid]);
+            prop_assert!(file.read_number(pid) <= bound, "lane must stay within M");
+            // Every lane decodes to its owner's last write.
+            prop_assert_eq!(file.packed().decode_numbers(), numbers);
             prop_assert_eq!(stats.overflow_attempts(), 1);
         }
 

@@ -519,8 +519,8 @@ impl SessionPlane {
     /// * **idle** (leased, not busy) — the holder died in its NCS; its
     ///   registers are already zero, so the seat is simply recycled;
     /// * **doorway / waiting** (`BUSY`, not `IN_CS`) — recovered via
-    ///   [`RawMutexAlgorithm::crash_abort`] (registers and packed mirror
-    ///   zeroed) and recycled; if the algorithm's conservative default
+    ///   [`RawMutexAlgorithm::crash_abort`] (registers zeroed) and
+    ///   recycled; if the algorithm's conservative default
     ///   refuses, the seat is left untouched and counted as `refused`;
     /// * **inside the CS** (`IN_CS`) — moved to `QUARANTINED`: mutual
     ///   exclusion is never silently broken, the lock stays held on that pid
@@ -1221,12 +1221,7 @@ mod tests {
     fn blocked_attach_parks_instead_of_spinning() {
         use crate::wait::Park;
         let park = Arc::new(Park::new());
-        let lock = BakeryPlusPlusLock::with_bound_mode_and_strategy(
-            1,
-            255,
-            crate::snapshot::ScanMode::Packed,
-            park.clone(),
-        );
+        let lock = BakeryPlusPlusLock::with_bound_and_strategy(1, 255, park.clone());
         let plane = SessionPlane::new(Arc::new(lock));
         let holder = plane.attach();
         let waiter = {

@@ -1,60 +1,44 @@
-//! The packed snapshot plane: a cache-dense mirror of the register file.
+//! The packed snapshot plane: the storage of every lock's registers.
 //!
-//! The authoritative [`crate::registers::RegisterFile`] keeps every
-//! `choosing[i]` / `number[i]` cell in its own `CachePadded` slot so that the
-//! single-writer discipline never false-shares between writers.  That layout
-//! is ideal for the *writers* but terrible for the *readers*: the doorway's
-//! `maximum(number[1..N])` scan and the `L2`/`L3` wait loops each touch `N`
-//! separate cache lines per pass.
+//! The doorway's `maximum(number[1..N])` scan and the `L2`/`L3` wait loops
+//! read every process's registers, so the registers are laid out for the
+//! readers:
 //!
-//! [`PackedSnapshot`] is a densely packed mirror maintained alongside the
-//! padded plane:
+//! * `choosing` is a bitmap — 64 processes per word;
+//! * `number` is packed lanes — `u8` lanes when the register bound `M` fits
+//!   in a byte, `u16` lanes when it fits in a half-word, and plain `u64`
+//!   words otherwise — so a scan reads `O(N/8)` words, and "is anyone else in
+//!   the bakery?" is a couple of word loads (the uncontended **fast path**).
 //!
-//! * `choosing` becomes a bitmap — 64 processes per word;
-//! * `number` becomes packed lanes — `u8` lanes when the register bound `M`
-//!   fits in a byte, `u16` lanes when it fits in a half-word, and plain `u64`
-//!   words otherwise — so a scan reads `O(N/8)` cache lines instead of `N`
-//!   padded ones, and "is anyone else in the bakery?" is a couple of word
-//!   loads (the uncontended **fast path**).
+//! [`crate::registers::RegisterFile`] owns one [`PackedSnapshot`] and is the
+//! only writer: it applies the overflow policy first, so a lane only ever
+//! receives a bounded value.  Each write is one atomic operation on the
+//! owner's bit or lane: a `fetch_or`/`fetch_and` on the choosing bitmap, a
+//! CAS splice on a narrow ticket lane, a plain store on a full-word lane.
+//! So concurrent readers of a shared word always observe either the old or
+//! the new value of each lane — never a torn intermediate — which keeps the
+//! plane within the paper's safe-register read model.  No other copy of the
+//! registers exists.
 //!
-//! The mirror is a performance cache only: the padded plane stays the source
-//! of truth for the paper's SWMR discipline and overflow accounting, and the
-//! mirror always holds post-policy (bounded) values, so a lane can never be
-//! asked to store more than `M`.  Each lane is updated with a single atomic
-//! read-modify-write, so concurrent readers of a shared word always observe
-//! either the old or the new lane value — never a torn intermediate — which
-//! keeps the mirror within the paper's safe-register read model.
-//!
-//! Memory ordering: lane/bit updates are `Release` RMWs and reads are
+//! Memory ordering: bit and lane writes are `Release` and reads are
 //! `Acquire` loads.  The store–load orderings the Bakery proof needs on top
 //! of that (doorway handshakes) are provided by explicit `SeqCst` fences in
-//! `bakery.rs` / `bakery_pp.rs`, next to the protocol steps they order.
+//! the doorways (`bakery.rs` / `bakery_pp.rs`), next to the protocol steps
+//! they order.
 
 use crate::sync::{AtomicU64, Ordering};
 
-/// How a lock scans the shared registers.
+/// The register layout a lock scans.  The packed plane is the only one;
+/// the type survives because the repository benchmark (`perfbench/`) is
+/// built against constructors that take it
+/// ([`crate::registers::RegisterFile::with_mode`],
+/// [`crate::BakeryPlusPlusLock::with_bound_mode_and_strategy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScanMode {
-    /// Scan the padded authoritative registers with `SeqCst` accesses — the
-    /// layout and orderings the seed implementation used.  Kept as the
-    /// like-for-like baseline for the `bench-json` perf trajectory and as an
-    /// ablation of the snapshot plane.
-    Padded,
     /// Scan the packed snapshot plane with acquire/release accesses plus
     /// targeted fences, including the empty-bakery fast path.
     #[default]
     Packed,
-}
-
-impl ScanMode {
-    /// Short name used in benchmark output and reports.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScanMode::Padded => "padded",
-            ScanMode::Packed => "packed",
-        }
-    }
 }
 
 /// Ticket lane width of a [`PackedSnapshot`], chosen from the bound `M`.
@@ -133,7 +117,7 @@ impl LaneWidth {
     }
 }
 
-/// The packed mirror of one lock's `choosing[0..n]` / `number[0..n]` arrays.
+/// One lock's `choosing[0..n]` / `number[0..n]` arrays, packed.
 #[derive(Debug)]
 pub struct PackedSnapshot {
     width: LaneWidth,
@@ -145,14 +129,14 @@ pub struct PackedSnapshot {
 }
 
 impl PackedSnapshot {
-    /// Creates an all-zero mirror for `n` processes with register bound
+    /// Creates an all-zero plane for `n` processes with register bound
     /// `bound`, choosing the lane width via [`LaneWidth::for_config`].
     #[must_use]
     pub fn new(n: usize, bound: u64) -> Self {
         Self::with_width(n, bound, LaneWidth::for_config(n, bound))
     }
 
-    /// Creates a mirror with an explicit lane width (tests and ablations).
+    /// Creates a plane with an explicit lane width (tests and ablations).
     ///
     /// # Panics
     /// Panics if `width` cannot hold every value a register bounded by
@@ -174,13 +158,13 @@ impl PackedSnapshot {
         }
     }
 
-    /// Number of process slots mirrored.
+    /// Number of process slots.
     #[must_use]
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// True when the mirror has no slots (never the case once constructed).
+    /// True when the plane has no slots (never the case once constructed).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.n == 0
@@ -192,8 +176,8 @@ impl PackedSnapshot {
         self.width
     }
 
-    /// Total words a full scan of both planes reads — the `O(N/8)` figure the
-    /// docs and tests refer to (vs `2N` padded cache lines).
+    /// Total words a full scan of the bitmap and the lanes reads — the
+    /// `O(N/8)` figure the docs and tests refer to.
     #[must_use]
     pub fn word_count(&self) -> usize {
         self.choosing.len() + self.lanes.len()
@@ -220,10 +204,10 @@ impl PackedSnapshot {
         (pid / lpw, shift, mask)
     }
 
-    /// Mirrors a write of `number[pid] := value`.
+    /// Writes `number[pid] := value`.
     ///
-    /// `value` must already be bounded (the authoritative register applies
-    /// the overflow policy first), so it always fits the lane.  The update is
+    /// `value` must already be bounded (the register file applies the
+    /// overflow policy first), so it always fits the lane.  The update is
     /// one atomic RMW: readers of the shared word see the old or the new lane
     /// value, never a blend.
     pub fn set_number(&self, pid: usize, value: u64) {
@@ -242,7 +226,7 @@ impl PackedSnapshot {
         }
     }
 
-    /// Mirrors a write of `choosing[pid] := flag`.
+    /// Writes `choosing[pid] := flag`.
     pub fn set_choosing(&self, pid: usize, flag: bool) {
         let word = pid / 64;
         let bit = 1u64 << (pid % 64);
@@ -253,14 +237,14 @@ impl PackedSnapshot {
         }
     }
 
-    /// Reads `number[pid]` from the mirror.
+    /// Reads `number[pid]`.
     #[must_use]
     pub fn number(&self, pid: usize) -> u64 {
         let (word, shift, mask) = self.lane_pos(pid);
         (self.lanes[word].load(Ordering::Acquire) & mask) >> shift
     }
 
-    /// Reads `choosing[pid]` from the mirror.
+    /// Reads `choosing[pid]`.
     #[must_use]
     pub fn choosing(&self, pid: usize) -> bool {
         let word = pid / 64;
@@ -326,13 +310,13 @@ impl PackedSnapshot {
         false
     }
 
-    /// Decodes the mirrored `number` array (test / verification helper).
+    /// Decodes the `number` array (test / verification helper).
     #[must_use]
     pub fn decode_numbers(&self) -> Vec<u64> {
         (0..self.n).map(|pid| self.number(pid)).collect()
     }
 
-    /// Decodes the mirrored `choosing` array (test / verification helper).
+    /// Decodes the `choosing` array (test / verification helper).
     #[must_use]
     pub fn decode_choosing(&self) -> Vec<bool> {
         (0..self.n).map(|pid| self.choosing(pid)).collect()
@@ -354,13 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_mode_names() {
-        assert_eq!(ScanMode::Padded.name(), "padded");
-        assert_eq!(ScanMode::Packed.name(), "packed");
-        assert_eq!(ScanMode::default(), ScanMode::Packed);
-    }
-
-    #[test]
     fn adaptive_width_prefers_wide_lanes_at_small_n() {
         // n <= 8: one cache line of u64 words either way, so take the plain
         // store (u64 lane) over the CAS splice.
@@ -379,8 +356,7 @@ mod tests {
 
     #[test]
     fn word_counts_are_dense() {
-        // 128 processes with u8 lanes: 2 choosing words + 16 lane words,
-        // versus 256 padded cache lines in the authoritative plane.
+        // 128 processes with u8 lanes: 2 choosing words + 16 lane words.
         let snap = PackedSnapshot::new(128, 255);
         assert_eq!(snap.width(), LaneWidth::U8);
         assert_eq!(snap.word_count(), 2 + 16);

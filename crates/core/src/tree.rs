@@ -53,7 +53,6 @@ use std::sync::Arc;
 use crate::bakery_pp::BakeryPlusPlusLock;
 use crate::raw::{RawMutexAlgorithm};
 use crate::slots::SlotAllocator;
-use crate::snapshot::ScanMode;
 use crate::stats::{LockStats, StatsSnapshot};
 use crate::sync::{AtomicU64, Ordering};
 use crate::wait::{WaitHandle, WaitStrategy};
@@ -81,7 +80,6 @@ pub struct TreeBakery {
     capacity: usize,
     /// Per-node register bound `M = arity + 1`.
     bound: u64,
-    mode: ScanMode,
     /// How many levels of its path each pid is currently *engaged* on
     /// (doorway entered or node won): `engaged[pid] == e` means levels
     /// `0..e` may carry this pid's register writes and levels `e..` are
@@ -113,18 +111,7 @@ impl TreeBakery {
     /// Panics if `n == 0` or `arity < 2`.
     #[must_use]
     pub fn with_arity(n: usize, arity: usize) -> Self {
-        Self::with_config(n, arity, ScanMode::Packed)
-    }
-
-    /// Creates a tree lock with every knob explicit; the [`ScanMode`] is
-    /// applied to every node's register file, so the whole tree can be run
-    /// against the padded seed layout as an ablation.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `arity < 2`.
-    #[must_use]
-    pub fn with_config(n: usize, arity: usize, mode: ScanMode) -> Self {
-        Self::with_config_and_strategy(n, arity, mode, crate::wait::default_strategy())
+        Self::with_config_and_strategy(n, arity, crate::wait::default_strategy())
     }
 
     /// Creates a tree lock whose nodes all share one [`WaitStrategy`]
@@ -137,7 +124,6 @@ impl TreeBakery {
     pub fn with_config_and_strategy(
         n: usize,
         arity: usize,
-        mode: ScanMode,
         strategy: Arc<dyn WaitStrategy>,
     ) -> Self {
         assert!(n > 0, "a lock needs at least one process slot");
@@ -151,10 +137,9 @@ impl TreeBakery {
             levels.push(
                 (0..nodes)
                     .map(|_| {
-                        BakeryPlusPlusLock::with_bound_mode_and_strategy(
+                        BakeryPlusPlusLock::with_bound_and_strategy(
                             arity,
                             bound,
-                            mode,
                             Arc::clone(&strategy),
                         )
                     })
@@ -168,7 +153,6 @@ impl TreeBakery {
             arity,
             capacity: n,
             bound,
-            mode,
             engaged: (0..n).map(|_| AtomicU64::new(0)).collect(),
             slots: SlotAllocator::new(n),
             stats: LockStats::new(),
@@ -203,12 +187,6 @@ impl TreeBakery {
     #[must_use]
     pub fn bound(&self) -> u64 {
         self.bound
-    }
-
-    /// The scan mode every node was built with.
-    #[must_use]
-    pub fn scan_mode(&self) -> ScanMode {
-        self.mode
     }
 
     /// Total number of Bakery++ nodes in the tree.
@@ -276,7 +254,7 @@ impl TreeBakery {
 
     /// Applies the paper's crash rule (assumptions 1.5–1.7) to the levels of
     /// `pid`'s leaf-to-root path the pid was engaged on: each such slot's
-    /// choosing *and* number words — plus the packed mirror — are zeroed,
+    /// choosing bit *and* number lane are zeroed,
     /// highest engaged level first (the same root-first order `release`
     /// uses, so a node is never re-opened to contenders while an ancestor
     /// slot still carries the crashed process's registers).  Levels above
@@ -300,16 +278,11 @@ impl TreeBakery {
     /// Words one uncontended acquisition reads in the doorway scans across
     /// all levels — the figure the E6/E10 sub-linearity comparison reports.
     ///
-    /// In packed mode each node costs its snapshot plane's word count; in
-    /// padded mode it costs `2 * arity` cache-padded registers.  The flat
-    /// equivalent is the packed plane word count (or `2N`) of one lock
-    /// spanning all `N` processes.
+    /// Each node costs its snapshot plane's word count; the flat equivalent
+    /// is the plane word count of one lock spanning all `N` processes.
     #[must_use]
     pub fn doorway_scan_words(&self) -> usize {
-        let per_node = match self.levels[0][0].registers().packed() {
-            Some(packed) => packed.word_count(),
-            None => 2 * self.arity,
-        };
+        let per_node = self.levels[0][0].registers().packed().word_count();
         per_node * self.depth()
     }
 }
@@ -565,7 +538,7 @@ mod tests {
     fn doorway_scan_words_are_sublinear_in_n() {
         fn flat_words(n: usize) -> usize {
             let flat = BakeryPlusPlusLock::with_bound(n, crate::DEFAULT_PP_BOUND);
-            flat.registers().packed().expect("packed default").word_count()
+            flat.registers().packed().word_count()
         }
         fn tree_words(n: usize) -> usize {
             TreeBakery::with_arity(n, 8).doorway_scan_words()
@@ -575,21 +548,6 @@ mod tests {
         assert_eq!(flat_words(1024), 4 * flat_words(256));
         assert!(tree_words(1024) <= tree_words(256) + tree_words(256) / 2);
         assert!(tree_words(1024) * 4 < flat_words(1024));
-    }
-
-    #[test]
-    fn padded_mode_applies_to_every_node() {
-        let lock = TreeBakery::with_config(4, 2, ScanMode::Padded);
-        assert_eq!(lock.scan_mode(), ScanMode::Padded);
-        for level in 0..lock.depth() {
-            for node in 0..lock.nodes_at(level) {
-                assert!(lock.node(level, node).registers().packed().is_none());
-            }
-        }
-        let slot = lock.register().unwrap();
-        drop(lock.lock(&slot));
-        assert_eq!(lock.aggregate_snapshot().fast_path_hits, 0);
-        assert_eq!(lock.doorway_scan_words(), 2 * 2 * lock.depth());
     }
 
     #[test]
@@ -639,14 +597,6 @@ mod tests {
         stress(&lock, 6, 200);
         assert_eq!(lock.stats().cs_entries(), 1200);
         assert_eq!(lock.aggregate_snapshot().overflow_attempts, 0);
-    }
-
-    #[test]
-    fn mutual_exclusion_padded_mode() {
-        let lock = Arc::new(TreeBakery::with_config(4, 2, ScanMode::Padded));
-        stress(&lock, 4, 250);
-        assert_eq!(lock.stats().cs_entries(), 1000);
-        assert_eq!(lock.aggregate_snapshot().fast_path_hits, 0);
     }
 
     #[test]

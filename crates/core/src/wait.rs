@@ -65,11 +65,9 @@ use crate::backoff::Backoff;
 /// waiters on different planes of the same lock never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteKind {
-    /// An `L2` wait on a choosing word (packed: one bitmap word covers 64
-    /// pids; padded: one site per pid).
+    /// An `L2` wait on a choosing word (one bitmap word covers 64 pids).
     Choosing,
-    /// An `L3` wait on a ticket lane word (packed: one site per lane word;
-    /// padded: one site per pid).
+    /// An `L3` wait on a ticket lane word (one site per lane word).
     Ticket,
     /// A guard/phase predicate: Bakery++'s `L1` admission guard, the adaptive
     /// lock's drain phases, the session plane's busy-seat waits.

@@ -53,14 +53,6 @@ fn loom_bakery_pp_two_threads() {
     check_two_thread_mutex(|| BakeryPlusPlusLock::with_bound(2, 8));
 }
 
-#[test]
-fn loom_bakery_padded_baseline_two_threads() {
-    use bakery_core::{registers::OverflowPolicy, ScanMode};
-    check_two_thread_mutex(|| {
-        BakeryLock::with_config(2, u64::MAX, OverflowPolicy::Wrap, ScanMode::Padded)
-    });
-}
-
 /// Smoke test of the relaxed-ordering fast path: with both threads racing,
 /// the packed-snapshot emptiness check must never let two processes into the
 /// critical section together, and every acquisition is either a fast-path hit
@@ -241,14 +233,13 @@ fn loom_session_attach_recycle_race() {
 ///   with balanced announce counters (every session detaches cleanly).
 #[test]
 fn loom_session_reverse_drain_handshake() {
-    use bakery_core::{AdaptiveBakery, ScanMode, SessionPlane};
+    use bakery_core::{AdaptiveBakery, SessionPlane};
     loom::model(|| {
         // Forward thresholds out of reach and a huge quiet period: only the
         // manual triggers move the epoch, so the race below is pure
         // reverse-handshake.
         let adaptive = Arc::new(AdaptiveBakery::with_hysteresis(
             2,
-            ScanMode::Packed,
             8,
             u64::MAX,
             1,
@@ -436,13 +427,12 @@ fn loom_park_notify_drains_every_waiter() {
 #[test]
 fn loom_bakery_park_strategy_two_threads_timeout_free() {
     use bakery_core::wait::Park;
-    use bakery_core::{registers::OverflowPolicy, ScanMode};
+    use bakery_core::registers::OverflowPolicy;
     check_two_thread_mutex(|| {
         BakeryLock::with_config_and_strategy(
             2,
             u64::MAX,
             OverflowPolicy::Wrap,
-            ScanMode::Packed,
             Arc::new(Park::with_timeout(None)),
         )
     });

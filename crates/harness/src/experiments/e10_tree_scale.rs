@@ -37,7 +37,7 @@ pub fn flat_scan_words(n: usize) -> usize {
     BakeryPlusPlusLock::with_bound(n, DEFAULT_PP_BOUND)
         .registers()
         .packed()
-        .map_or(2 * n, bakery_core::PackedSnapshot::word_count)
+        .word_count()
 }
 
 /// E10a: analytic doorway footprint, flat vs tree.

@@ -38,7 +38,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bakery_core::{
-    AdaptiveBakery, BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, SessionPlane, TreeBakery,
+    AdaptiveBakery, BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery,
     DEFAULT_PP_BOUND,
 };
 
@@ -308,7 +308,6 @@ pub fn service_locks(config: &ServiceConfig) -> Vec<ServiceLock> {
     let slots = config.slots;
     let adaptive = Arc::new(AdaptiveBakery::with_hysteresis(
         slots,
-        ScanMode::Packed,
         config.capacity_threshold(),
         u64::MAX,
         config.low_watermark(),
@@ -455,12 +454,7 @@ mod tests {
             cs_work: 2,
             subside_clients: 8,
         };
-        let adaptive = Arc::new(AdaptiveBakery::with_config(
-            config.slots,
-            ScanMode::Packed,
-            2,
-            u64::MAX,
-        ));
+        let adaptive = Arc::new(AdaptiveBakery::with_config(config.slots, 2, u64::MAX));
         let result = run_service(
             Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>,
             &config,

@@ -31,8 +31,8 @@
 //! (`l2` and `l3` leave the *same* own-register state — after the doorway a
 //! waiter's `choosing` is back to zero whichever wait loop it occupies — but
 //! different surrounding configurations, so they wedge a surviving waiter
-//! through different paths.  They are driven as a raw-lock probe on both
-//! scan modes; the session-level sites ride the churn.)
+//! through different paths.  They are driven as a raw-lock probe; the
+//! session-level sites ride the churn.)
 //!
 //! ## Scheduling discipline (why this is deterministic *and* safe)
 //!
@@ -68,7 +68,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bakery_core::{
-    AdaptiveBakery, BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, SessionPlane, TreeBakery,
+    AdaptiveBakery, BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery,
     DEFAULT_PP_BOUND,
 };
 use bakery_sim::FaultPlan;
@@ -480,13 +480,11 @@ pub fn run_kill(lock: Arc<dyn RawMutexAlgorithm>, config: &KillConfig) -> KillRe
     }
 }
 
-/// Outcome of the raw ticket-holder probe at one site/mode.
+/// Outcome of the raw ticket-holder probe at one site.
 #[derive(Debug, Clone)]
 pub struct ProbeResult {
     /// `l2` or `l3`.
     pub site: CrashSite,
-    /// Scan mode of the probed Bakery++ lock.
-    pub mode: ScanMode,
     /// `crash_abort`-to-reacquire latency per sample.
     pub recovery: LatencySamples,
 }
@@ -504,13 +502,9 @@ pub struct ProbeResult {
 /// Panics if the waiter enters the CS before the abort (an FCFS-under-crash
 /// violation) or the dead registers survive it.
 #[must_use]
-pub fn run_probe(site: CrashSite, mode: ScanMode, samples: usize) -> ProbeResult {
+pub fn run_probe(site: CrashSite, samples: usize) -> ProbeResult {
     assert!(matches!(site, CrashSite::L2 | CrashSite::L3));
-    let lock = Arc::new(BakeryPlusPlusLock::with_bound_and_mode(
-        2,
-        DEFAULT_PP_BOUND,
-        mode,
-    ));
+    let lock = Arc::new(BakeryPlusPlusLock::with_bound(2, DEFAULT_PP_BOUND));
     let mut recovery = LatencySamples::default();
     for _ in 0..samples {
         match site {
@@ -542,10 +536,11 @@ pub fn run_probe(site: CrashSite, mode: ScanMode, samples: usize) -> ProbeResult
             }
         });
         std::thread::sleep(WEDGE_WINDOW);
-        // Stamp the abort time, then apply the crash rule.  The waiter can
-        // only see number[1] == 0 after this store (same-thread program
-        // order, SeqCst throughout), so a zero stamp at its CS entry would
-        // be a genuine FCFS-under-crash violation.
+        // Stamp the abort time, then apply the crash rule.  The crash rule's
+        // zeroing of number[1] is a Release write after this store, and the
+        // waiter only passes L3 on an Acquire read of that zero, so the stamp
+        // is visible to it by then: a zero stamp at its CS entry would be a
+        // genuine FCFS-under-crash violation.
         aborted.store(begun.elapsed().as_nanos() as u64, Ordering::SeqCst); // mem: harness-probe
         assert!(lock.crash_abort(1), "bakery++ supports the crash rule");
         let (entered, abort_ns) = waiter.join().expect("waiter thread");
@@ -557,11 +552,7 @@ pub fn run_probe(site: CrashSite, mode: ScanMode, samples: usize) -> ProbeResult
         );
         recovery.push(Duration::from_nanos(entered.as_nanos() as u64 - abort_ns));
     }
-    ProbeResult {
-        site,
-        mode,
-        recovery,
-    }
+    ProbeResult { site, recovery }
 }
 
 /// Runs E12 and renders its tables.
@@ -652,23 +643,20 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     let samples = if quick { 8 } else { 32 };
     let mut probe = Table::new(
-        "E12 probe — dead ticket holders (l2/l3 sites) on raw Bakery++, both scan modes",
-        &["site", "scan mode", "samples", "recovery µs (mean/max)"],
+        "E12 probe — dead ticket holders (l2/l3 sites) on raw Bakery++",
+        &["site", "samples", "recovery µs (mean/max)"],
     );
-    for mode in [ScanMode::Packed, ScanMode::Padded] {
-        for site in [CrashSite::L2, CrashSite::L3] {
-            let result = run_probe(site, mode, samples);
-            probe.push_row(vec![
-                result.site.name().to_string(),
-                format!("{mode:?}").to_lowercase(),
-                result.recovery.len().to_string(),
-                format!(
-                    "{:.1}/{:.1}",
-                    result.recovery.mean_ns() / 1_000.0,
-                    result.recovery.max_ns() as f64 / 1_000.0
-                ),
-            ]);
-        }
+    for site in [CrashSite::L2, CrashSite::L3] {
+        let result = run_probe(site, samples);
+        probe.push_row(vec![
+            result.site.name().to_string(),
+            result.recovery.len().to_string(),
+            format!(
+                "{:.1}/{:.1}",
+                result.recovery.mean_ns() / 1_000.0,
+                result.recovery.max_ns() as f64 / 1_000.0
+            ),
+        ]);
     }
     probe.push_note(
         "The victim dies holding a completed doorway's ticket; FCFS wedges the next \
@@ -756,13 +744,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_recovers_both_sites_in_both_modes() {
-        for mode in [ScanMode::Packed, ScanMode::Padded] {
-            for site in [CrashSite::L2, CrashSite::L3] {
-                let result = run_probe(site, mode, 2);
-                assert_eq!(result.recovery.len(), 2);
-                assert!(result.recovery.max_ns() > 0);
-            }
+    fn probe_recovers_both_sites() {
+        for site in [CrashSite::L2, CrashSite::L3] {
+            let result = run_probe(site, 2);
+            assert_eq!(result.recovery.len(), 2);
+            assert!(result.recovery.max_ns() > 0);
         }
     }
 
@@ -772,7 +758,7 @@ mod tests {
         assert_eq!(tables.len(), 2);
         // 3 locks x 4 swept periods.
         assert_eq!(tables[0].len(), 12);
-        // 2 sites x 2 scan modes.
-        assert_eq!(tables[1].len(), 4);
+        // One row per site.
+        assert_eq!(tables[1].len(), 2);
     }
 }

@@ -36,9 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bakery_core::wait::{strategy_by_name, Park, WaitStrategy};
-use bakery_core::{
-    BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, SessionPlane, DEFAULT_PP_BOUND,
-};
+use bakery_core::{BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, DEFAULT_PP_BOUND};
 
 use crate::executor::Executor;
 use crate::histogram::LatencyHistogram;
@@ -173,12 +171,8 @@ pub fn run_echo(strategy: &str, config: &EchoConfig) -> EchoResult {
             None,
         )
     };
-    let lock = BakeryPlusPlusLock::with_bound_mode_and_strategy(
-        config.slots,
-        DEFAULT_PP_BOUND,
-        ScanMode::Packed,
-        strategy_obj,
-    );
+    let lock =
+        BakeryPlusPlusLock::with_bound_and_strategy(config.slots, DEFAULT_PP_BOUND, strategy_obj);
     let plane = SessionPlane::new(Arc::new(lock) as Arc<dyn RawMutexAlgorithm>);
     let state = Arc::new(EchoState {
         remaining: AtomicU64::new(config.clients as u64),
@@ -362,10 +356,9 @@ mod tests {
         // thing that resolves the pending future under park is the
         // detach-side wake pulse, which the notify counter records.
         let park = Arc::new(Park::new());
-        let lock = BakeryPlusPlusLock::with_bound_mode_and_strategy(
+        let lock = BakeryPlusPlusLock::with_bound_and_strategy(
             2,
             DEFAULT_PP_BOUND,
-            ScanMode::Packed,
             Arc::clone(&park) as Arc<dyn WaitStrategy>,
         );
         let plane = SessionPlane::new(Arc::new(lock) as Arc<dyn RawMutexAlgorithm>);

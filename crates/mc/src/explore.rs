@@ -720,7 +720,7 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
     }
 
     /// Spills sealed visited-set chunks to temporary files under `dir`
-    /// (`spill` cargo feature): the padded-mode sweeps trade read latency
+    /// (`spill` cargo feature): the largest sweeps trade read latency
     /// for resident memory.  Each stripe of the sharded store gets its own
     /// spill file.
     #[cfg(feature = "spill")]

@@ -9,7 +9,7 @@
 //!   configured, sealed chunks of the arena move to a temporary file and are
 //!   paged back through a tiny LRU cache; BFS reads the arena almost
 //!   sequentially, so the cache hit rate is high and resident memory drops to
-//!   the index plus a few chunks.  The tier exists for the padded-mode
+//!   the index plus a few chunks.  The tier exists for the largest
 //!   sweeps, whose state spaces exceed what the default CI runners hold.
 //! * [`CodeIndex`] deduplicates by 64-bit FNV fingerprint with the arena as
 //!   the source of truth: a fingerprint hit is confirmed against the stored

@@ -7,7 +7,8 @@
 //! * [`locks`] — the paper's contribution: [`locks::BakeryLock`] and
 //!   [`locks::BakeryPlusPlusLock`] plus the lock traits.
 //! * [`baselines`] — every comparison algorithm (Peterson, Filter, Szymanski,
-//!   Black-White Bakery, modulo Bakery, Dijkstra, ticket/TAS locks).
+//!   Black-White Bakery, the all-`SeqCst` reference Bakery, Dijkstra,
+//!   ticket/TAS locks).
 //! * [`sim`] — the step-machine simulator (schedulers, faults, traces).
 //! * [`spec`] — model-checkable specifications of the algorithms.
 //! * [`mc`] — the explicit-state model checker (TLC stand-in).

@@ -24,32 +24,18 @@
 //!    under genuine contention and must report exactly the invariant profile
 //!    the spec plane establishes (no overflow attempts, tickets within `M`,
 //!    mutual exclusion).
-//!
-//! The real-lock parts run under both [`ScanMode::Packed`] and
-//! [`ScanMode::Padded`]; set `BAKERY_SCAN_MODE=packed|padded` to restrict a
-//! run to one mode (the CI matrix does).
 
 use std::sync::Arc;
 
 use bakery_suite::locks::raw::DoorwayOutcome;
 use bakery_suite::locks::{
-    AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, OverflowPolicy, RawMutexAlgorithm, ScanMode,
+    AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, OverflowPolicy, RawMutexAlgorithm,
     SessionPlane, TreeBakery,
 };
 use bakery_suite::sim::{
     Algorithm, ProgState, RandomScheduler, ReplayScheduler, RunConfig, Simulator,
 };
 use bakery_suite::spec::{pc, AdaptiveHandoffSpec, BakeryPlusPlusSpec, BakerySpec, TreeBakerySpec};
-
-/// Scan modes the real-lock sides run under (`BAKERY_SCAN_MODE` restricts).
-fn scan_modes() -> Vec<ScanMode> {
-    match std::env::var("BAKERY_SCAN_MODE").as_deref() {
-        Ok("packed") => vec![ScanMode::Packed],
-        Ok("padded") => vec![ScanMode::Padded],
-        Ok(other) => panic!("BAKERY_SCAN_MODE must be 'packed' or 'padded', got '{other}'"),
-        Err(_) => vec![ScanMode::Packed, ScanMode::Padded],
-    }
-}
 
 /// Small deterministic generator so both sides see the same schedule without
 /// depending on the `rand` stub from the root test crate.
@@ -241,54 +227,52 @@ fn spec_serve<A: Algorithm>(spec: &A, state: &mut ProgState, pid: usize) {
 fn bakery_pp_doorway_agrees_with_spec_step_for_step() {
     let n = 2;
     let bound = 4; // small enough that Blocked and Reset both fire
-    for mode in scan_modes() {
-        for seed in 0..8u64 {
-            let lock = BakeryPlusPlusLock::with_bound_and_mode(n, bound, mode);
-            let spec = BakeryPlusPlusSpec::new(n, bound);
-            let mut state = spec.initial_state();
-            let mut rng = Lcg::new(seed);
-            // pids currently holding a ticket, in (number, pid) order.
-            let mut holders: Vec<(u64, usize)> = Vec::new();
-            let mut saw = [false; 3]; // ticket, blocked, reset
+    for seed in 0..8u64 {
+        let lock = BakeryPlusPlusLock::with_bound(n, bound);
+        let spec = BakeryPlusPlusSpec::new(n, bound);
+        let mut state = spec.initial_state();
+        let mut rng = Lcg::new(seed);
+        // pids currently holding a ticket, in (number, pid) order.
+        let mut holders: Vec<(u64, usize)> = Vec::new();
+        let mut saw = [false; 3]; // ticket, blocked, reset
 
-            for step in 0..300 {
-                let idle: Vec<usize> =
-                    (0..n).filter(|p| !holders.iter().any(|&(_, h)| h == *p)).collect();
-                let serve =
-                    holders.len() == n || (idle.is_empty() || rng.next().is_multiple_of(3));
-                if serve && !holders.is_empty() {
-                    holders.sort_unstable();
-                    let (_, pid) = holders.remove(0);
-                    lock.await_turn(pid);
-                    lock.release(pid);
-                    spec_serve(&spec, &mut state, pid);
-                    assert_eq!(
-                        state.read(flat_number_idx(&spec, pid)),
-                        lock.registers().read_number(pid),
-                        "seed {seed} step {step}: release left different registers"
-                    );
-                } else {
-                    let pid = idle[(rng.next() as usize) % idle.len()];
-                    let real = lock.try_doorway(pid);
-                    let speced = pp_spec_doorway(&spec, &mut state, pid, n);
-                    match (&real, &speced) {
-                        (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) => {
-                            assert_eq!(a, b, "seed {seed} step {step}: ticket values differ");
-                            holders.push((*a, pid));
-                            saw[0] = true;
-                        }
-                        (DoorwayOutcome::Blocked, SpecDoorway::Blocked) => saw[1] = true,
-                        (DoorwayOutcome::Reset, SpecDoorway::Reset) => saw[2] = true,
-                        other => panic!(
-                            "seed {seed} step {step} ({mode:?}): lock and spec disagree: {other:?}"
-                        ),
+        for step in 0..300 {
+            let idle: Vec<usize> =
+                (0..n).filter(|p| !holders.iter().any(|&(_, h)| h == *p)).collect();
+            let serve =
+                holders.len() == n || (idle.is_empty() || rng.next().is_multiple_of(3));
+            if serve && !holders.is_empty() {
+                holders.sort_unstable();
+                let (_, pid) = holders.remove(0);
+                lock.await_turn(pid);
+                lock.release(pid);
+                spec_serve(&spec, &mut state, pid);
+                assert_eq!(
+                    state.read(flat_number_idx(&spec, pid)),
+                    lock.registers().read_number(pid),
+                    "seed {seed} step {step}: release left different registers"
+                );
+            } else {
+                let pid = idle[(rng.next() as usize) % idle.len()];
+                let real = lock.try_doorway(pid);
+                let speced = pp_spec_doorway(&spec, &mut state, pid, n);
+                match (&real, &speced) {
+                    (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) => {
+                        assert_eq!(a, b, "seed {seed} step {step}: ticket values differ");
+                        holders.push((*a, pid));
+                        saw[0] = true;
                     }
+                    (DoorwayOutcome::Blocked, SpecDoorway::Blocked) => saw[1] = true,
+                    (DoorwayOutcome::Reset, SpecDoorway::Reset) => saw[2] = true,
+                    other => panic!(
+                        "seed {seed} step {step}: lock and spec disagree: {other:?}"
+                    ),
                 }
             }
-            assert_eq!(lock.stats().overflow_attempts(), 0);
-            assert!(lock.stats().max_ticket() <= bound);
-            assert!(saw[0], "seed {seed}: schedule never drew a ticket");
         }
+        assert_eq!(lock.stats().overflow_attempts(), 0);
+        assert!(lock.stats().max_ticket() <= bound);
+        assert!(saw[0], "seed {seed}: schedule never drew a ticket");
     }
 }
 
@@ -296,52 +280,50 @@ fn bakery_pp_doorway_agrees_with_spec_step_for_step() {
 fn bakery_pp_cap_outcomes_are_reachable_and_agree() {
     // A targeted §3-style alternation drives tickets to the bound so the
     // Blocked and Reset branches demonstrably fire — and agree — on both
-    // sides, in both scan modes.
-    for mode in scan_modes() {
-        let n = 2;
-        let bound = 3;
-        let lock = BakeryPlusPlusLock::with_bound_and_mode(n, bound, mode);
-        let spec = BakeryPlusPlusSpec::new(n, bound);
-        let mut state = spec.initial_state();
-        let mut pending = 0usize;
-        let mut saw_cap = false;
-        assert_eq!(
-            pp_spec_doorway(&spec, &mut state, 0, n),
-            SpecDoorway::Ticket(1)
+    // sides.
+    let n = 2;
+    let bound = 3;
+    let lock = BakeryPlusPlusLock::with_bound(n, bound);
+    let spec = BakeryPlusPlusSpec::new(n, bound);
+    let mut state = spec.initial_state();
+    let mut pending = 0usize;
+    let mut saw_cap = false;
+    assert_eq!(
+        pp_spec_doorway(&spec, &mut state, 0, n),
+        SpecDoorway::Ticket(1)
+    );
+    assert_eq!(lock.try_doorway(0), DoorwayOutcome::Ticket(1));
+    for round in 0..60 {
+        let entering = 1 - pending;
+        let real = lock.try_doorway(entering);
+        let speced = pp_spec_doorway(&spec, &mut state, entering, n);
+        let agreed_cap = matches!(
+            (&real, &speced),
+            (DoorwayOutcome::Blocked, SpecDoorway::Blocked)
+                | (DoorwayOutcome::Reset, SpecDoorway::Reset)
         );
-        assert_eq!(lock.try_doorway(0), DoorwayOutcome::Ticket(1));
-        for round in 0..60 {
-            let entering = 1 - pending;
-            let real = lock.try_doorway(entering);
-            let speced = pp_spec_doorway(&spec, &mut state, entering, n);
-            let agreed_cap = matches!(
-                (&real, &speced),
-                (DoorwayOutcome::Blocked, SpecDoorway::Blocked)
-                    | (DoorwayOutcome::Reset, SpecDoorway::Reset)
-            );
-            if let (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) = (&real, &speced) {
-                assert_eq!(a, b, "round {round}");
-                lock.await_turn(pending);
-                lock.release(pending);
-                spec_serve(&spec, &mut state, pending);
-                pending = entering;
-            } else {
-                assert!(agreed_cap, "round {round}: {real:?} vs {speced:?}");
-                saw_cap = true;
-                lock.await_turn(pending);
-                lock.release(pending);
-                spec_serve(&spec, &mut state, pending);
-                // Bakery drained: the blocked process retries successfully.
-                let retry_real = lock.try_doorway(entering);
-                let retry_spec = pp_spec_doorway(&spec, &mut state, entering, n);
-                assert!(retry_real.took_ticket(), "round {round}: {retry_real:?}");
-                assert!(matches!(retry_spec, SpecDoorway::Ticket(_)));
-                pending = entering;
-            }
+        if let (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) = (&real, &speced) {
+            assert_eq!(a, b, "round {round}");
+            lock.await_turn(pending);
+            lock.release(pending);
+            spec_serve(&spec, &mut state, pending);
+            pending = entering;
+        } else {
+            assert!(agreed_cap, "round {round}: {real:?} vs {speced:?}");
+            saw_cap = true;
+            lock.await_turn(pending);
+            lock.release(pending);
+            spec_serve(&spec, &mut state, pending);
+            // Bakery drained: the blocked process retries successfully.
+            let retry_real = lock.try_doorway(entering);
+            let retry_spec = pp_spec_doorway(&spec, &mut state, entering, n);
+            assert!(retry_real.took_ticket(), "round {round}: {retry_real:?}");
+            assert!(matches!(retry_spec, SpecDoorway::Ticket(_)));
+            pending = entering;
         }
-        assert!(saw_cap, "M = {bound} must hit the cap ({mode:?})");
-        assert_eq!(lock.stats().overflow_attempts(), 0);
     }
+    assert!(saw_cap, "M = {bound} must hit the cap");
+    assert_eq!(lock.stats().overflow_attempts(), 0);
 }
 
 #[test]
@@ -350,61 +332,59 @@ fn classic_bakery_overflows_at_the_same_step_as_its_spec() {
     // every drawn ticket and then flag the overflow at the same operation
     // with the same attempted value.  (After the overflow the two diverge by
     // design: the spec stores the M+1 sentinel, the lock wraps.)
-    for mode in scan_modes() {
-        let bound = 4;
-        let lock = BakeryLock::with_config(2, bound, OverflowPolicy::Wrap, mode);
-        let spec = BakerySpec::new(2, bound);
-        let mut state = spec.initial_state();
+    let bound = 4;
+    let lock = BakeryLock::with_bound_and_policy(2, bound, OverflowPolicy::Wrap);
+    let spec = BakerySpec::new(2, bound);
+    let mut state = spec.initial_state();
 
-        // Drives the classic spec doorway: NCS -> ... -> SCAN_CHOOSING.
-        let classic_doorway = |state: &mut ProgState, pid: usize| -> (u64, u64) {
-            assert_eq!(state.pc(pid), pc::NCS);
-            let mut attempted = 0;
-            loop {
-                let prev = state.pc(pid);
-                if prev == pc::WRITE_TICKET {
-                    attempted = state.local(pid, 1) + 1; // LOCAL_MAX + 1
-                }
-                let succs = spec.successors_vec(state, pid);
-                assert_eq!(succs.len(), 1);
-                *state = succs.into_iter().next().unwrap();
-                if prev == pc::CLEAR_CHOOSING {
-                    return (state.read(flat_number_idx(&spec, pid)), attempted);
-                }
+    // Drives the classic spec doorway: NCS -> ... -> SCAN_CHOOSING.
+    let classic_doorway = |state: &mut ProgState, pid: usize| -> (u64, u64) {
+        assert_eq!(state.pc(pid), pc::NCS);
+        let mut attempted = 0;
+        loop {
+            let prev = state.pc(pid);
+            if prev == pc::WRITE_TICKET {
+                attempted = state.local(pid, 1) + 1; // LOCAL_MAX + 1
             }
-        };
-
-        assert!(lock.try_doorway(0).took_ticket());
-        let _ = classic_doorway(&mut state, 0);
-        let mut overflowed = false;
-        for round in 0..40 {
-            let (leaving, entering) = if round % 2 == 0 { (0, 1) } else { (1, 0) };
-            let real = lock.try_doorway(entering);
-            let (spec_stored, spec_attempted) = classic_doorway(&mut state, entering);
-            match real {
-                DoorwayOutcome::Ticket(number) => {
-                    assert!(spec_stored <= bound, "spec overflowed before the lock");
-                    assert_eq!(number, spec_stored, "round {round} ({mode:?})");
-                }
-                DoorwayOutcome::Overflowed { attempted, stored } => {
-                    assert!(
-                        spec_stored > bound,
-                        "lock overflowed at round {round} but the spec did not"
-                    );
-                    assert_eq!(attempted, spec_attempted, "round {round}");
-                    assert!(stored <= bound);
-                    overflowed = true;
-                    break;
-                }
-                other => panic!("unexpected outcome {other:?}"),
+            let succs = spec.successors_vec(state, pid);
+            assert_eq!(succs.len(), 1);
+            *state = succs.into_iter().next().unwrap();
+            if prev == pc::CLEAR_CHOOSING {
+                return (state.read(flat_number_idx(&spec, pid)), attempted);
             }
-            lock.await_turn(leaving);
-            lock.release(leaving);
-            spec_serve(&spec, &mut state, leaving);
         }
-        assert!(overflowed, "bounded classic Bakery must overflow ({mode:?})");
-        assert!(lock.stats().overflow_attempts() > 0);
+    };
+
+    assert!(lock.try_doorway(0).took_ticket());
+    let _ = classic_doorway(&mut state, 0);
+    let mut overflowed = false;
+    for round in 0..40 {
+        let (leaving, entering) = if round % 2 == 0 { (0, 1) } else { (1, 0) };
+        let real = lock.try_doorway(entering);
+        let (spec_stored, spec_attempted) = classic_doorway(&mut state, entering);
+        match real {
+            DoorwayOutcome::Ticket(number) => {
+                assert!(spec_stored <= bound, "spec overflowed before the lock");
+                assert_eq!(number, spec_stored, "round {round}");
+            }
+            DoorwayOutcome::Overflowed { attempted, stored } => {
+                assert!(
+                    spec_stored > bound,
+                    "lock overflowed at round {round} but the spec did not"
+                );
+                assert_eq!(attempted, spec_attempted, "round {round}");
+                assert!(stored <= bound);
+                overflowed = true;
+                break;
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+        lock.await_turn(leaving);
+        lock.release(leaving);
+        spec_serve(&spec, &mut state, leaving);
     }
+    assert!(overflowed, "bounded classic Bakery must overflow");
+    assert!(lock.stats().overflow_attempts() > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,61 +393,59 @@ fn classic_bakery_overflows_at_the_same_step_as_its_spec() {
 
 #[test]
 fn tree_bakery_per_level_tickets_agree_with_spec() {
-    for mode in scan_modes() {
-        for seed in 0..6u64 {
-            let lock = TreeBakery::with_config(4, 2, mode);
-            let spec = TreeBakerySpec::new(2, 2);
-            let mut state = spec.initial_state();
-            let mut rng = Lcg::new(seed ^ 0xF00D);
+    for seed in 0..6u64 {
+        let lock = TreeBakery::with_arity(4, 2);
+        let spec = TreeBakerySpec::new(2, 2);
+        let mut state = spec.initial_state();
+        let mut rng = Lcg::new(seed ^ 0xF00D);
 
-            for step in 0..80 {
-                let pid = (rng.next() as usize) % 4;
+        for step in 0..80 {
+            let pid = (rng.next() as usize) % 4;
 
-                // Real side: acquire and read the tickets along the path.
-                lock.acquire(pid);
-                let real_tickets: Vec<u64> = (0..lock.depth())
-                    .map(|level| {
-                        let (node, slot) = lock.position(pid, level);
-                        lock.node(level, node).current_ticket(slot).number
-                    })
-                    .collect();
-
-                // Spec side: step the same process into the critical section
-                // and read the same node registers.
-                let mut budget = 2_000;
-                while !spec.in_critical_section(&state, pid) {
-                    let succs = spec.successors_vec(&state, pid);
-                    assert!(!succs.is_empty(), "lone spec process can never block");
-                    state = succs.into_iter().next().unwrap();
-                    budget -= 1;
-                    assert!(budget > 0, "seed {seed} step {step}: spec never entered CS");
-                }
-                let spec_tickets: Vec<u64> = (0..spec.levels())
-                    .map(|level| {
-                        let (node, slot) = spec.position(pid, level);
-                        state.read(spec.number_idx(level, node, slot))
-                    })
-                    .collect();
-                assert_eq!(
-                    real_tickets, spec_tickets,
-                    "seed {seed} step {step} pid {pid} ({mode:?}): path tickets diverged"
-                );
-
-                // Release on both sides; all path registers must drain to 0.
-                lock.release(pid);
-                while state.pc(pid) != pc::NCS {
-                    let succs = spec.successors_vec(&state, pid);
-                    state = succs.into_iter().next().unwrap();
-                }
-                for level in 0..lock.depth() {
+            // Real side: acquire and read the tickets along the path.
+            lock.acquire(pid);
+            let real_tickets: Vec<u64> = (0..lock.depth())
+                .map(|level| {
                     let (node, slot) = lock.position(pid, level);
-                    assert_eq!(lock.node(level, node).current_ticket(slot).number, 0);
-                    let (snode, sslot) = spec.position(pid, level);
-                    assert_eq!(state.read(spec.number_idx(level, snode, sslot)), 0);
-                }
+                    lock.node(level, node).current_ticket(slot).number
+                })
+                .collect();
+
+            // Spec side: step the same process into the critical section
+            // and read the same node registers.
+            let mut budget = 2_000;
+            while !spec.in_critical_section(&state, pid) {
+                let succs = spec.successors_vec(&state, pid);
+                assert!(!succs.is_empty(), "lone spec process can never block");
+                state = succs.into_iter().next().unwrap();
+                budget -= 1;
+                assert!(budget > 0, "seed {seed} step {step}: spec never entered CS");
             }
-            assert_eq!(lock.aggregate_snapshot().overflow_attempts, 0);
+            let spec_tickets: Vec<u64> = (0..spec.levels())
+                .map(|level| {
+                    let (node, slot) = spec.position(pid, level);
+                    state.read(spec.number_idx(level, node, slot))
+                })
+                .collect();
+            assert_eq!(
+                real_tickets, spec_tickets,
+                "seed {seed} step {step} pid {pid}: path tickets diverged"
+            );
+
+            // Release on both sides; all path registers must drain to 0.
+            lock.release(pid);
+            while state.pc(pid) != pc::NCS {
+                let succs = spec.successors_vec(&state, pid);
+                state = succs.into_iter().next().unwrap();
+            }
+            for level in 0..lock.depth() {
+                let (node, slot) = lock.position(pid, level);
+                assert_eq!(lock.node(level, node).current_ticket(slot).number, 0);
+                let (snode, sslot) = spec.position(pid, level);
+                assert_eq!(state.read(spec.number_idx(level, snode, sslot)), 0);
+            }
         }
+        assert_eq!(lock.aggregate_snapshot().overflow_attempts, 0);
     }
 }
 
@@ -480,15 +458,8 @@ fn canonicalized_explorer_replays_deterministically() {
     // The symmetry-compressed explorer must be exactly reproducible: two
     // runs of the same configuration yield the identical canonical state
     // count AND the identical frontier order (pinned by the discovery-order
-    // digest).  The CI matrix runs this test under both BAKERY_SCAN_MODE
-    // values — the spec-plane exploration must not depend on how the *real*
-    // locks scan, so the counts must also agree across the matrix legs.
+    // digest).
     use bakery_suite::mc::ModelChecker;
-
-    // The scan-mode env var is the conformance suite's "seed" for the
-    // real-lock side; touching it here documents that the spec plane
-    // deliberately ignores it.
-    let _ = scan_modes();
 
     for active in [None, Some([0usize, 1]), Some([0, 2])] {
         let spec = match active {
@@ -513,8 +484,8 @@ fn canonicalized_explorer_replays_deterministically() {
             "active {active:?}: frontier order must be identical"
         );
         assert_ne!(first.frontier_digest, 0);
-        // Scan-mode independence: the counts for the full 4-process prefix
-        // are pinned, so the packed and padded matrix legs provably agree.
+        // The counts for the full 4-process prefix are pinned, so every
+        // wait-strategy leg of the CI matrix provably agrees.
         if active.is_none() {
             assert_eq!(first.states, 60_000);
             assert_eq!(first.canonical_states, 10_337);
@@ -528,59 +499,56 @@ fn canonicalized_explorer_replays_deterministically() {
 
 use bakery_suite::baselines::testutil::assert_mutual_exclusion as stress;
 
-/// The adaptive lock through the whole conformance lens, in both scan modes:
-/// the real migration fires mid-workload (under threads, like the spec's
+/// The adaptive lock through the whole conformance lens: the real migration fires mid-workload (under threads, like the spec's
 /// nondeterministic trigger), mutual exclusion and overflow freedom hold
 /// across the handoff, and afterwards both planes are quiescently zero.
 #[test]
 fn adaptive_real_lock_crosses_the_migration_under_threads() {
-    for mode in scan_modes() {
-        let lock = Arc::new(AdaptiveBakery::with_config(4, mode, 2, u64::MAX));
-        let in_cs = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let lock = Arc::clone(&lock);
-                let in_cs = Arc::clone(&in_cs);
-                scope.spawn(move || {
-                    let slot = lock.register().unwrap();
-                    for i in 0..250 {
-                        if t == 0 && i == 125 {
-                            // The threshold crossing, mid-workload.
-                            lock.trigger_migration();
-                        }
-                        let _g = lock.lock(&slot);
-                        let inside = in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        assert_eq!(inside, 0, "mutual exclusion across the handoff");
-                        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+    let lock = Arc::new(AdaptiveBakery::with_config(4, 2, u64::MAX));
+    let in_cs = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let lock = Arc::clone(&lock);
+            let in_cs = Arc::clone(&in_cs);
+            scope.spawn(move || {
+                let slot = lock.register().unwrap();
+                for i in 0..250 {
+                    if t == 0 && i == 125 {
+                        // The threshold crossing, mid-workload.
+                        lock.trigger_migration();
                     }
-                });
-            }
-        });
-        assert!(lock.has_migrated(), "{mode:?}");
-        assert_eq!(lock.stats().cs_entries(), 1_000, "{mode:?}");
-
-        // The PR 3 facade-only rule survives the flat->tree migration: the
-        // aggregate folds both planes' counters but counts entries exactly
-        // once, at the adaptive facade — neither zero nor double.
-        let aggregate = lock.aggregate_snapshot();
-        assert_eq!(aggregate.cs_entries, 1_000, "{mode:?}: facade-only cs_entries");
-        assert_eq!(aggregate.overflow_attempts, 0, "{mode:?}");
-        assert!(aggregate.max_ticket <= lock.register_bound().unwrap(), "{mode:?}");
-
-        // Quiescence: every register of both planes drained to zero.
-        let flat = lock.flat().registers();
-        for pid in 0..flat.len() {
-            assert_eq!(flat.read_number(pid), 0, "{mode:?}");
-            assert!(!flat.read_choosing(pid), "{mode:?}");
-        }
-        let tree = lock.tree();
-        for level in 0..tree.depth() {
-            for node in 0..tree.nodes_at(level) {
-                let file = tree.node(level, node).registers();
-                for slot in 0..file.len() {
-                    assert_eq!(file.read_number(slot), 0, "{mode:?}");
-                    assert!(!file.read_choosing(slot), "{mode:?}");
+                    let _g = lock.lock(&slot);
+                    let inside = in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    assert_eq!(inside, 0, "mutual exclusion across the handoff");
+                    in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
                 }
+            });
+        }
+    });
+    assert!(lock.has_migrated());
+    assert_eq!(lock.stats().cs_entries(), 1_000);
+
+    // The facade-only cs_entries rule survives the flat->tree migration: the
+    // aggregate folds both planes' counters but counts entries exactly
+    // once, at the adaptive facade — neither zero nor double.
+    let aggregate = lock.aggregate_snapshot();
+    assert_eq!(aggregate.cs_entries, 1_000, "facade-only cs_entries");
+    assert_eq!(aggregate.overflow_attempts, 0);
+    assert!(aggregate.max_ticket <= lock.register_bound().unwrap());
+
+    // Quiescence: every register of both planes drained to zero.
+    let flat = lock.flat().registers();
+    for pid in 0..flat.len() {
+        assert_eq!(flat.read_number(pid), 0);
+        assert!(!flat.read_choosing(pid));
+    }
+    let tree = lock.tree();
+    for level in 0..tree.depth() {
+        for node in 0..tree.nodes_at(level) {
+            let file = tree.node(level, node).registers();
+            for slot in 0..file.len() {
+                assert_eq!(file.read_number(slot), 0);
+                assert!(!file.read_choosing(slot));
             }
         }
     }
@@ -589,69 +557,66 @@ fn adaptive_real_lock_crosses_the_migration_under_threads() {
 /// Session churn over the adaptive lock, crossing the capacity threshold
 /// mid-workload: the leased-capacity trigger (not the manual one) fires, no
 /// recycled slot ever aliases, and the facade-only cs_entries rule is pinned
-/// through the handoff in both scan modes.
+/// through the handoff.
 #[test]
 fn adaptive_session_churn_pins_facade_cs_entries_across_migration() {
-    for mode in scan_modes() {
-        let adaptive = Arc::new(AdaptiveBakery::with_config(4, mode, 4, u64::MAX));
-        let plane = SessionPlane::new(
-            Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>
-        );
-        let live = std::sync::Mutex::new(std::collections::HashSet::new());
-        let in_cs = std::sync::atomic::AtomicU64::new(0);
-        // Rush: all four seats leased at once, so the capacity trigger is
-        // guaranteed to fire during these acquisitions; then churn.
-        let all_attached = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let plane = &plane;
-                let live = &live;
-                let in_cs = &in_cs;
-                let all_attached = &all_attached;
-                scope.spawn(move || {
-                    for round in 0..40 {
-                        let session = plane.attach();
-                        if round == 0 {
-                            all_attached.wait();
-                        }
-                        assert!(
-                            live.lock().unwrap().insert(session.pid()),
-                            "slot aliasing on pid {}",
-                            session.pid()
-                        );
-                        for _ in 0..5 {
-                            let _g = session.lock();
-                            assert_eq!(
-                                in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-                                0
-                            );
-                            in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                        }
-                        assert!(live.lock().unwrap().remove(&session.pid()));
-                        drop(session);
+    let adaptive = Arc::new(AdaptiveBakery::with_config(4, 4, u64::MAX));
+    let plane = SessionPlane::new(
+        Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>
+    );
+    let live = std::sync::Mutex::new(std::collections::HashSet::new());
+    let in_cs = std::sync::atomic::AtomicU64::new(0);
+    // Rush: all four seats leased at once, so the capacity trigger is
+    // guaranteed to fire during these acquisitions; then churn.
+    let all_attached = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let plane = &plane;
+            let live = &live;
+            let in_cs = &in_cs;
+            let all_attached = &all_attached;
+            scope.spawn(move || {
+                for round in 0..40 {
+                    let session = plane.attach();
+                    if round == 0 {
+                        all_attached.wait();
                     }
-                });
-            }
-        });
-        assert!(
-            adaptive.has_migrated(),
-            "{mode:?}: the leased-capacity trigger must fire mid-churn"
-        );
-        let stats = adaptive.stats();
-        assert_eq!(stats.attaches(), 160, "{mode:?}");
-        assert_eq!(stats.detaches(), 160, "{mode:?}");
-        assert_eq!(stats.cs_entries(), 800, "{mode:?}");
-        assert_eq!(
-            adaptive.aggregate_snapshot().cs_entries,
-            800,
-            "{mode:?}: cs_entries counted once at the adaptive facade, never doubled during the handoff"
-        );
-        assert_eq!(plane.live_sessions(), 0, "{mode:?}");
-    }
+                    assert!(
+                        live.lock().unwrap().insert(session.pid()),
+                        "slot aliasing on pid {}",
+                        session.pid()
+                    );
+                    for _ in 0..5 {
+                        let _g = session.lock();
+                        assert_eq!(
+                            in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
+                            0
+                        );
+                        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                    }
+                    assert!(live.lock().unwrap().remove(&session.pid()));
+                    drop(session);
+                }
+            });
+        }
+    });
+    assert!(
+        adaptive.has_migrated(),
+        "the leased-capacity trigger must fire mid-churn"
+    );
+    let stats = adaptive.stats();
+    assert_eq!(stats.attaches(), 160);
+    assert_eq!(stats.detaches(), 160);
+    assert_eq!(stats.cs_entries(), 800);
+    assert_eq!(
+        adaptive.aggregate_snapshot().cs_entries,
+        800,
+        "cs_entries counted once at the adaptive facade, never doubled during the handoff"
+    );
+    assert_eq!(plane.live_sessions(), 0);
 }
 
-/// The full round trip through the conformance lens, in both scan modes: a
-/// rush leases every seat (the capacity trigger fires, flat→tree), a churn
+/// The full round trip through the conformance lens: a rush leases every seat (the capacity trigger fires, flat→tree), a churn
 /// era holds the lock loud and tree-resident, a subside era drops below the
 /// low watermark until the hysteresis band fires the reverse (tree→flat) —
 /// with mutual exclusion asserted across both handoffs, the facade-only
@@ -661,138 +626,135 @@ fn adaptive_session_churn_pins_facade_cs_entries_across_migration() {
 /// trip is observationally indistinguishable from a fresh flat lock).
 #[test]
 fn adaptive_round_trip_pins_facade_cs_entries_and_doorway_agreement() {
-    for mode in scan_modes() {
-        let quiet_period = 6;
-        let adaptive = Arc::new(AdaptiveBakery::with_hysteresis(
-            4,
-            mode,
-            3,
-            u64::MAX,
-            2,
-            quiet_period,
-        ));
-        let plane = SessionPlane::new(Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>);
-        let in_cs = std::sync::atomic::AtomicU64::new(0);
-        let cs_done = std::sync::atomic::AtomicU64::new(0);
-        // Rush + churn: all four seats leased at once and held for the whole
-        // era, so live sessions sit at 4 — above the capacity threshold (the
-        // forward trigger must fire) and above the low watermark (the
-        // reverse must NOT fire, every release is loud).
-        let all_attached = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let plane = &plane;
-                let in_cs = &in_cs;
-                let cs_done = &cs_done;
-                let all_attached = &all_attached;
-                scope.spawn(move || {
-                    let session = plane.attach();
-                    all_attached.wait();
-                    for _ in 0..30 {
-                        let _g = session.lock();
-                        assert_eq!(
-                            in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-                            0,
-                            "mutual exclusion across the forward handoff"
-                        );
-                        cs_done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                    }
-                    drop(session);
-                });
-            }
-        });
-        assert_eq!(
-            adaptive.stats().migrations_forward(),
-            1,
-            "{mode:?}: the rush must fire the forward trigger exactly once"
-        );
-        assert!(
-            adaptive.stats().migrations_reverse() <= 1,
-            "{mode:?}: at most one reverse (the era's tail may already have gone quiet)"
-        );
-
-        // Subside: one client at a time (live = 1, below the low watermark of
-        // 2), until the quiet streak arms and completes the reverse handoff.
-        // (If the churn era finished unevenly enough that its tail already
-        // migrated back, the loop is a no-op — the assertions below hold
-        // either way.)
-        let mut subside_sessions = 0u64;
-        while adaptive.has_migrated() {
-            let session = plane.attach();
-            let _g = session.lock();
-            assert_eq!(in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst), 0);
-            cs_done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-            drop(_g);
-            drop(session);
-            subside_sessions += 1;
-            assert!(
-                subside_sessions <= 4 * quiet_period,
-                "{mode:?}: the reverse migration never fired"
-            );
-        }
-        assert_eq!(adaptive.stats().migrations_reverse(), 1, "{mode:?}");
-        assert_eq!(adaptive.cycle(), 1, "{mode:?}: exactly one full round trip");
-        assert!(!adaptive.has_migrated(), "{mode:?}: flat-resident again");
-
-        // The facade-only cs_entries rule, pinned across the FULL cycle.
-        let total = cs_done.load(std::sync::atomic::Ordering::SeqCst);
-        assert_eq!(total, 120 + subside_sessions, "{mode:?}");
-        assert_eq!(adaptive.stats().cs_entries(), total, "{mode:?}");
-        assert_eq!(
-            adaptive.aggregate_snapshot().cs_entries,
-            total,
-            "{mode:?}: cs_entries counted once at the facade, never doubled by either handoff"
-        );
-        assert_eq!(adaptive.aggregate_snapshot().overflow_attempts, 0, "{mode:?}");
-        assert_eq!(plane.live_sessions(), 0, "{mode:?}");
-
-        // Doorway differential: the post-round-trip flat plane vs a FRESH
-        // Bakery++ spec, step for step.  Any residue the reverse drain left
-        // in the flat registers would break the very first outcome.
-        let flat = adaptive.flat();
-        let spec = BakeryPlusPlusSpec::new(4, flat.bound());
-        let mut state = spec.initial_state();
-        let mut rng = Lcg::new(0xC1C1E ^ total);
-        let mut holders: Vec<(u64, usize)> = Vec::new();
-        for step in 0..60 {
-            let idle: Vec<usize> =
-                (0..4).filter(|p| !holders.iter().any(|&(_, h)| h == *p)).collect();
-            let serve = holders.len() == 4 || (idle.is_empty() || rng.next().is_multiple_of(3));
-            if serve && !holders.is_empty() {
-                holders.sort_unstable();
-                let (_, pid) = holders.remove(0);
-                flat.await_turn(pid);
-                flat.release(pid);
-                spec_serve(&spec, &mut state, pid);
-            } else {
-                let pid = idle[(rng.next() as usize) % idle.len()];
-                let real = flat.try_doorway(pid);
-                let speced = pp_spec_doorway(&spec, &mut state, pid, 4);
-                match (&real, &speced) {
-                    (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) => {
-                        assert_eq!(
-                            a, b,
-                            "{mode:?} step {step}: post-round-trip flat plane drew a \
-                             different ticket than a fresh spec"
-                        );
-                        holders.push((*a, pid));
-                    }
-                    (DoorwayOutcome::Blocked, SpecDoorway::Blocked)
-                    | (DoorwayOutcome::Reset, SpecDoorway::Reset) => {}
-                    other => panic!(
-                        "{mode:?} step {step}: post-round-trip flat plane and fresh \
-                         spec disagree: {other:?}"
-                    ),
+    let quiet_period = 6;
+    let adaptive = Arc::new(AdaptiveBakery::with_hysteresis(
+        4,
+        3,
+        u64::MAX,
+        2,
+        quiet_period,
+    ));
+    let plane = SessionPlane::new(Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>);
+    let in_cs = std::sync::atomic::AtomicU64::new(0);
+    let cs_done = std::sync::atomic::AtomicU64::new(0);
+    // Rush + churn: all four seats leased at once and held for the whole
+    // era, so live sessions sit at 4 — above the capacity threshold (the
+    // forward trigger must fire) and above the low watermark (the
+    // reverse must NOT fire, every release is loud).
+    let all_attached = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let plane = &plane;
+            let in_cs = &in_cs;
+            let cs_done = &cs_done;
+            let all_attached = &all_attached;
+            scope.spawn(move || {
+                let session = plane.attach();
+                all_attached.wait();
+                for _ in 0..30 {
+                    let _g = session.lock();
+                    assert_eq!(
+                        in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
+                        0,
+                        "mutual exclusion across the forward handoff"
+                    );
+                    cs_done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
                 }
-            }
+                drop(session);
+            });
         }
-        holders.sort_unstable();
-        for (_, pid) in holders {
+    });
+    assert_eq!(
+        adaptive.stats().migrations_forward(),
+        1,
+        "the rush must fire the forward trigger exactly once"
+    );
+    assert!(
+        adaptive.stats().migrations_reverse() <= 1,
+        "at most one reverse (the era's tail may already have gone quiet)"
+    );
+
+    // Subside: one client at a time (live = 1, below the low watermark of
+    // 2), until the quiet streak arms and completes the reverse handoff.
+    // (If the churn era finished unevenly enough that its tail already
+    // migrated back, the loop is a no-op — the assertions below hold
+    // either way.)
+    let mut subside_sessions = 0u64;
+    while adaptive.has_migrated() {
+        let session = plane.attach();
+        let _g = session.lock();
+        assert_eq!(in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst), 0);
+        cs_done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        drop(_g);
+        drop(session);
+        subside_sessions += 1;
+        assert!(
+            subside_sessions <= 4 * quiet_period,
+            "the reverse migration never fired"
+        );
+    }
+    assert_eq!(adaptive.stats().migrations_reverse(), 1);
+    assert_eq!(adaptive.cycle(), 1, "exactly one full round trip");
+    assert!(!adaptive.has_migrated(), "flat-resident again");
+
+    // The facade-only cs_entries rule, pinned across the FULL cycle.
+    let total = cs_done.load(std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(total, 120 + subside_sessions);
+    assert_eq!(adaptive.stats().cs_entries(), total);
+    assert_eq!(
+        adaptive.aggregate_snapshot().cs_entries,
+        total,
+        "cs_entries counted once at the facade, never doubled by either handoff"
+    );
+    assert_eq!(adaptive.aggregate_snapshot().overflow_attempts, 0);
+    assert_eq!(plane.live_sessions(), 0);
+
+    // Doorway differential: the post-round-trip flat plane vs a FRESH
+    // Bakery++ spec, step for step.  Any residue the reverse drain left
+    // in the flat registers would break the very first outcome.
+    let flat = adaptive.flat();
+    let spec = BakeryPlusPlusSpec::new(4, flat.bound());
+    let mut state = spec.initial_state();
+    let mut rng = Lcg::new(0xC1C1E ^ total);
+    let mut holders: Vec<(u64, usize)> = Vec::new();
+    for step in 0..60 {
+        let idle: Vec<usize> =
+            (0..4).filter(|p| !holders.iter().any(|&(_, h)| h == *p)).collect();
+        let serve = holders.len() == 4 || (idle.is_empty() || rng.next().is_multiple_of(3));
+        if serve && !holders.is_empty() {
+            holders.sort_unstable();
+            let (_, pid) = holders.remove(0);
             flat.await_turn(pid);
             flat.release(pid);
+            spec_serve(&spec, &mut state, pid);
+        } else {
+            let pid = idle[(rng.next() as usize) % idle.len()];
+            let real = flat.try_doorway(pid);
+            let speced = pp_spec_doorway(&spec, &mut state, pid, 4);
+            match (&real, &speced) {
+                (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) => {
+                    assert_eq!(
+                        a, b,
+                        "step {step}: post-round-trip flat plane drew a \
+                         different ticket than a fresh spec"
+                    );
+                    holders.push((*a, pid));
+                }
+                (DoorwayOutcome::Blocked, SpecDoorway::Blocked)
+                | (DoorwayOutcome::Reset, SpecDoorway::Reset) => {}
+                other => panic!(
+                    "step {step}: post-round-trip flat plane and fresh \
+                     spec disagree: {other:?}"
+                ),
+            }
         }
+    }
+    holders.sort_unstable();
+    for (_, pid) in holders {
+        flat.await_turn(pid);
+        flat.release(pid);
     }
 }
 
@@ -800,39 +762,37 @@ fn adaptive_round_trip_pins_facade_cs_entries_and_doorway_agreement() {
 fn real_locks_match_the_spec_planes_invariant_profile() {
     // The spec plane established: no overflow attempts, tickets within M,
     // mutual exclusion.  The real locks under genuine contention must report
-    // exactly the same profile, in both scan modes.
-    for mode in scan_modes() {
-        let pp = Arc::new(BakeryPlusPlusLock::with_bound_and_mode(4, 4, mode));
-        let total = stress(Arc::clone(&pp), 4, 250);
-        assert_eq!(total, 1_000);
-        assert_eq!(pp.stats().overflow_attempts(), 0);
-        assert!(pp.stats().max_ticket() <= 4);
+    // exactly the same profile.
+    let pp = Arc::new(BakeryPlusPlusLock::with_bound(4, 4));
+    let total = stress(Arc::clone(&pp), 4, 250);
+    assert_eq!(total, 1_000);
+    assert_eq!(pp.stats().overflow_attempts(), 0);
+    assert!(pp.stats().max_ticket() <= 4);
 
-        let adaptive = Arc::new(AdaptiveBakery::with_config(4, mode, 4, u64::MAX));
-        let total = stress(
-            Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>,
-            4,
-            250,
-        );
-        assert_eq!(total, 1_000);
-        let aggregate = adaptive.aggregate_snapshot();
-        assert_eq!(aggregate.overflow_attempts, 0);
-        assert!(aggregate.max_ticket <= adaptive.register_bound().unwrap());
+    let adaptive = Arc::new(AdaptiveBakery::with_config(4, 4, u64::MAX));
+    let total = stress(
+        Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>,
+        4,
+        250,
+    );
+    assert_eq!(total, 1_000);
+    let aggregate = adaptive.aggregate_snapshot();
+    assert_eq!(aggregate.overflow_attempts, 0);
+    assert!(aggregate.max_ticket <= adaptive.register_bound().unwrap());
 
-        let tree = Arc::new(TreeBakery::with_config(4, 2, mode));
-        let total = stress(Arc::clone(&tree), 4, 250);
-        assert_eq!(total, 1_000);
-        let aggregate = tree.aggregate_snapshot();
-        assert_eq!(aggregate.overflow_attempts, 0);
-        assert!(aggregate.max_ticket <= tree.bound());
-        // Every node register is quiescently zero after the run.
-        for level in 0..tree.depth() {
-            for node in 0..tree.nodes_at(level) {
-                let file = tree.node(level, node).registers();
-                for slot in 0..file.len() {
-                    assert_eq!(file.read_number(slot), 0);
-                    assert!(!file.read_choosing(slot));
-                }
+    let tree = Arc::new(TreeBakery::with_arity(4, 2));
+    let total = stress(Arc::clone(&tree), 4, 250);
+    assert_eq!(total, 1_000);
+    let aggregate = tree.aggregate_snapshot();
+    assert_eq!(aggregate.overflow_attempts, 0);
+    assert!(aggregate.max_ticket <= tree.bound());
+    // Every node register is quiescently zero after the run.
+    for level in 0..tree.depth() {
+        for node in 0..tree.nodes_at(level) {
+            let file = tree.node(level, node).registers();
+            for slot in 0..file.len() {
+                assert_eq!(file.read_number(slot), 0);
+                assert!(!file.read_choosing(slot));
             }
         }
     }
@@ -841,51 +801,55 @@ fn real_locks_match_the_spec_planes_invariant_profile() {
 // ---------------------------------------------------------------------------
 // 5. Crash-rule conformance of the try path (assumptions 1.5–1.7): a failed
 //    `try_acquire` must be indistinguishable from a crash that restarted in
-//    the noncritical section — registers (and packed-mirror lanes) zero, and
-//    the pid's next doorway identical to a brand-new process's.
+//    the noncritical section — registers zero, the other processes'
+//    registers untouched, and the pid's next doorway identical to a
+//    brand-new process's.
 // ---------------------------------------------------------------------------
 
-/// Asserts pid's `choosing`/`number` registers *and* their packed-mirror
-/// lanes read zero on `file`.
-fn assert_pid_file_zero(file: &bakery_suite::locks::RegisterFile, pid: usize, ctx: &str) {
-    assert_eq!(file.read_number(pid), 0, "{ctx}: number residue");
-    assert!(!file.read_choosing(pid), "{ctx}: choosing residue");
-    if let Some(packed) = file.packed() {
-        assert_eq!(packed.number(pid), 0, "{ctx}: packed number lane residue");
-        assert!(!packed.choosing(pid), "{ctx}: packed choosing bit residue");
-    }
+/// Asserts every `number` lane of `file` holds its owner's last write —
+/// `numbers`, an oracle the test keeps — and that no process is left
+/// choosing.
+fn assert_lanes_hold(file: &bakery_suite::locks::RegisterFile, numbers: &[u64], ctx: &str) {
+    assert_eq!(
+        file.packed().decode_numbers(),
+        numbers,
+        "{ctx}: number lanes"
+    );
+    assert_eq!(
+        file.packed().decode_choosing(),
+        vec![false; numbers.len()],
+        "{ctx}: choosing bits"
+    );
 }
 
 #[test]
 fn failed_try_acquire_leaves_no_residue_across_the_registry() {
     use bakery_suite::baselines::registry::{AlgorithmId, LockFactory};
-    for mode in scan_modes() {
-        let factory = LockFactory::new().with_bound(4).with_scan_mode(mode);
-        for &id in AlgorithmId::all() {
-            let n = id.entry().exact_n.unwrap_or(2);
-            let lock = factory.build(id, n);
-            // Algorithms without a real try path keep the conservative
-            // always-fail default — detectable as an uncontended failure —
-            // and have no backout to test.
-            if !lock.try_acquire(0) {
-                continue;
-            }
-            lock.release(0);
-            // Contended: pid 1 cannot enter while pid 0 holds the CS, and
-            // its failed try must back fully out.
-            lock.acquire(0);
-            assert!(!lock.try_acquire(1), "{id:?} ({mode:?}): mutual exclusion");
-            lock.release(0);
-            // No residue in either direction: the failed pid enters freely,
-            // and the old holder re-enters freely after it.
-            assert!(
-                lock.try_acquire(1),
-                "{id:?} ({mode:?}): backout residue blocked the retry"
-            );
-            lock.release(1);
-            lock.acquire(0);
-            lock.release(0);
+    let factory = LockFactory::new().with_bound(4);
+    for &id in AlgorithmId::all() {
+        let n = id.entry().exact_n.unwrap_or(2);
+        let lock = factory.build(id, n);
+        // Algorithms without a real try path keep the conservative
+        // always-fail default — detectable as an uncontended failure —
+        // and have no backout to test.
+        if !lock.try_acquire(0) {
+            continue;
         }
+        lock.release(0);
+        // Contended: pid 1 cannot enter while pid 0 holds the CS, and
+        // its failed try must back fully out.
+        lock.acquire(0);
+        assert!(!lock.try_acquire(1), "{id:?}: mutual exclusion");
+        lock.release(0);
+        // No residue in either direction: the failed pid enters freely,
+        // and the old holder re-enters freely after it.
+        assert!(
+            lock.try_acquire(1),
+            "{id:?}: backout residue blocked the retry"
+        );
+        lock.release(1);
+        lock.acquire(0);
+        lock.release(0);
     }
 }
 
@@ -938,41 +902,34 @@ fn doorway_trace(lock: &BakeryPlusPlusLock, n: usize, seed: u64) -> Vec<(String,
 #[test]
 fn wait_strategies_are_behaviour_invariant() {
     use bakery_suite::locks::wait::strategy_by_name;
-    for mode in scan_modes() {
-        for seed in 0..6u64 {
-            let traces: Vec<Vec<(String, u64)>> = ["spin", "yield", "park"]
-                .iter()
-                .map(|name| {
-                    let strategy =
-                        strategy_by_name(name).expect("built-in strategy name");
-                    let lock =
-                        BakeryPlusPlusLock::with_bound_mode_and_strategy(3, 4, mode, strategy);
-                    let trace = doorway_trace(&lock, 3, seed);
-                    assert_eq!(lock.stats().overflow_attempts(), 0, "{name} ({mode:?})");
-                    assert!(lock.stats().max_ticket() <= 4, "{name} ({mode:?})");
-                    trace
-                })
-                .collect();
-            assert_eq!(
-                traces[0], traces[1],
-                "seed {seed} ({mode:?}): spin and yield traces diverged"
-            );
-            assert_eq!(
-                traces[0], traces[2],
-                "seed {seed} ({mode:?}): spin and park traces diverged"
-            );
-        }
+    for seed in 0..6u64 {
+        let traces: Vec<Vec<(String, u64)>> = ["spin", "yield", "park"]
+            .iter()
+            .map(|name| {
+                let strategy =
+                    strategy_by_name(name).expect("built-in strategy name");
+                let lock =
+                    BakeryPlusPlusLock::with_bound_and_strategy(3, 4, strategy);
+                let trace = doorway_trace(&lock, 3, seed);
+                assert_eq!(lock.stats().overflow_attempts(), 0, "{name}");
+                assert!(lock.stats().max_ticket() <= 4, "{name}");
+                trace
+            })
+            .collect();
+        assert_eq!(
+            traces[0], traces[1],
+            "seed {seed}: spin and yield traces diverged"
+        );
+        assert_eq!(
+            traces[0], traces[2],
+            "seed {seed}: spin and park traces diverged"
+        );
     }
     // Under real contention the strategies must also agree on the observable
     // profile: same entry totals, same overflow freedom, mutual exclusion.
     for name in ["spin", "yield", "park"] {
         let strategy = bakery_suite::locks::wait::strategy_by_name(name).unwrap();
-        let lock = Arc::new(BakeryPlusPlusLock::with_bound_mode_and_strategy(
-            4,
-            8,
-            ScanMode::Packed,
-            strategy,
-        ));
+        let lock = Arc::new(BakeryPlusPlusLock::with_bound_and_strategy(4, 8, strategy));
         let total = stress(Arc::clone(&lock), 4, 250);
         assert_eq!(total, 1_000, "{name}");
         assert_eq!(lock.stats().overflow_attempts(), 0, "{name}");
@@ -987,12 +944,7 @@ fn park_episode_policy_uncontended_paths_never_park() {
     // predicate ever holds long enough to escalate — must record zero parks
     // and zero wait rounds, under every lock in the headline family.
     let park = Arc::new(Park::new());
-    let pp = BakeryPlusPlusLock::with_bound_mode_and_strategy(
-        2,
-        8,
-        ScanMode::Packed,
-        park.clone(),
-    );
+    let pp = BakeryPlusPlusLock::with_bound_and_strategy(2, 8, park.clone());
     for _ in 0..50 {
         pp.acquire(0);
         pp.release(0);
@@ -1005,7 +957,6 @@ fn park_episode_policy_uncontended_paths_never_park() {
     let park = Arc::new(Park::new());
     let adaptive = AdaptiveBakery::with_hysteresis_and_strategy(
         2,
-        ScanMode::Packed,
         usize::MAX,
         u64::MAX,
         1,
@@ -1023,89 +974,81 @@ fn park_episode_policy_uncontended_paths_never_park() {
 fn failed_try_acquire_resets_registers_and_matches_a_fresh_spec_doorway() {
     let n = 2;
     let bound = 4;
-    for mode in scan_modes() {
-        // --- Bakery++: registers + packed mirror zero, then the crashed
-        //     pid's next doorway replayed against a FRESH spec.
-        let lock = BakeryPlusPlusLock::with_bound_and_mode(n, bound, mode);
-        lock.acquire(0);
-        assert!(!lock.try_acquire(1), "{mode:?}: contended try must fail");
-        assert_pid_file_zero(lock.registers(), 1, &format!("bakery++ {mode:?}"));
-        lock.release(0);
-        // Assumption 1.5: the backed-out pid restarts "as a new process".
-        // Its next doorway on the real lock must agree step-for-step with a
-        // fresh spec started from the all-zero initial state — any surviving
-        // residue would surface as a diverging ticket value.
-        let spec = BakeryPlusPlusSpec::new(n, bound);
-        let mut state = spec.initial_state();
-        match (lock.try_doorway(1), pp_spec_doorway(&spec, &mut state, 1, n)) {
-            (DoorwayOutcome::Ticket(real), SpecDoorway::Ticket(speced)) => {
-                assert_eq!(real, speced, "{mode:?}: post-backout doorway diverged");
-                assert_eq!(real, 1, "{mode:?}: a fresh doorway draws ticket 1");
-            }
-            other => panic!("{mode:?}: lock and fresh spec disagree: {other:?}"),
+    // --- Bakery++: the loser's registers zero and the holder's ticket 1
+    //     intact, then the crashed pid's next doorway replayed against a
+    //     FRESH spec.
+    let lock = BakeryPlusPlusLock::with_bound(n, bound);
+    lock.acquire(0);
+    assert!(!lock.try_acquire(1), "contended try must fail");
+    assert_lanes_hold(lock.registers(), &[1, 0], "bakery++");
+    lock.release(0);
+    // Assumption 1.5: the backed-out pid restarts "as a new process".
+    // Its next doorway on the real lock must agree step-for-step with a
+    // fresh spec started from the all-zero initial state — any surviving
+    // residue would surface as a diverging ticket value.
+    let spec = BakeryPlusPlusSpec::new(n, bound);
+    let mut state = spec.initial_state();
+    match (lock.try_doorway(1), pp_spec_doorway(&spec, &mut state, 1, n)) {
+        (DoorwayOutcome::Ticket(real), SpecDoorway::Ticket(speced)) => {
+            assert_eq!(real, speced, "post-backout doorway diverged");
+            assert_eq!(real, 1, "a fresh doorway draws ticket 1");
         }
-        lock.await_turn(1);
-        lock.release(1);
-
-        // --- classic Bakery: same doorway registers, same crash rule.
-        let classic = BakeryLock::with_config(n, bound, OverflowPolicy::Wrap, mode);
-        classic.acquire(0);
-        assert!(!classic.try_acquire(1), "{mode:?}");
-        assert_pid_file_zero(classic.registers(), 1, &format!("bakery {mode:?}"));
-        classic.release(0);
-        classic.acquire(1);
-        classic.release(1);
-
-        // --- TreeBakery: the backout must drain every engaged level of the
-        //     loser's path, leaf to root, without touching the holder's.
-        let tree = TreeBakery::with_config(4, 2, mode);
-        tree.acquire(0);
-        assert!(!tree.try_acquire(1), "{mode:?}: sibling blocked at the leaf");
-        // The loser's exclusive leaf slot must be clean.  Its *upper*-level
-        // slots are shared with the winning sibling — pid 0's root ticket
-        // lives in the very slot pid 1 would have used — so they are checked
-        // for the holder's ticket instead: the backout must not have wiped
-        // a shared slot it never engaged.
-        let (leaf_node, leaf_slot) = tree.position(1, 0);
-        assert_pid_file_zero(
-            tree.node(0, leaf_node).registers(),
-            leaf_slot,
-            &format!("tree leaf {mode:?}"),
-        );
-        let (root_node, root_slot) = tree.position(0, tree.depth() - 1);
-        assert_ne!(
-            tree.node(tree.depth() - 1, root_node)
-                .registers()
-                .read_number(root_slot),
-            0,
-            "{mode:?}: backout wiped the holder's root ticket"
-        );
-        tree.release(0);
-        // Quiescent: with the holder gone, the loser's whole path (leaf and
-        // the shared upper slots) reads zero.
-        for level in 0..tree.depth() {
-            let (node, slot) = tree.position(1, level);
-            assert_pid_file_zero(
-                tree.node(level, node).registers(),
-                slot,
-                &format!("tree level {level} post-release {mode:?}"),
-            );
-        }
-        tree.acquire(1);
-        tree.release(1);
-
-        // --- AdaptiveBakery (flat-resident): the failed try backs out of
-        //     the flat plane and withdraws its announcement.
-        let adaptive = AdaptiveBakery::with_mode(n, mode);
-        adaptive.acquire(0);
-        assert!(!adaptive.try_acquire(1), "{mode:?}");
-        assert_pid_file_zero(
-            adaptive.flat().registers(),
-            1,
-            &format!("adaptive flat {mode:?}"),
-        );
-        adaptive.release(0);
-        adaptive.acquire(1);
-        adaptive.release(1);
+        other => panic!("lock and fresh spec disagree: {other:?}"),
     }
+    lock.await_turn(1);
+    lock.release(1);
+
+    // --- classic Bakery: same doorway registers, same crash rule.
+    let classic = BakeryLock::with_bound_and_policy(n, bound, OverflowPolicy::Wrap);
+    classic.acquire(0);
+    assert!(!classic.try_acquire(1));
+    assert_lanes_hold(classic.registers(), &[1, 0], "bakery");
+    classic.release(0);
+    classic.acquire(1);
+    classic.release(1);
+
+    // --- TreeBakery: the backout must drain every engaged level of the
+    //     loser's path, leaf to root, without touching the holder's.
+    let tree = TreeBakery::with_arity(4, 2);
+    tree.acquire(0);
+    assert!(!tree.try_acquire(1), "sibling blocked at the leaf");
+    // The loser's exclusive leaf slot must be clean next to the holder's
+    // leaf ticket 1.  Its *upper*-level slots are shared with the winning
+    // sibling — pid 0's root ticket lives in the very slot pid 1 would have
+    // used — so they are checked for the holder's ticket instead: the
+    // backout must not have wiped a shared slot it never engaged.
+    let (leaf_node, leaf_slot) = tree.position(1, 0);
+    assert_eq!((leaf_node, leaf_slot), (0, 1));
+    assert_lanes_hold(tree.node(0, leaf_node).registers(), &[1, 0], "tree leaf");
+    let (root_node, root_slot) = tree.position(0, tree.depth() - 1);
+    assert_ne!(
+        tree.node(tree.depth() - 1, root_node)
+            .registers()
+            .read_number(root_slot),
+        0,
+        "backout wiped the holder's root ticket"
+    );
+    tree.release(0);
+    // Quiescent: with the holder gone, the loser's whole path (leaf and
+    // the shared upper slots) reads zero.
+    for level in 0..tree.depth() {
+        let (node, _) = tree.position(1, level);
+        assert_lanes_hold(
+            tree.node(level, node).registers(),
+            &[0, 0],
+            &format!("tree level {level} post-release"),
+        );
+    }
+    tree.acquire(1);
+    tree.release(1);
+
+    // --- AdaptiveBakery (flat-resident): the failed try backs out of
+    //     the flat plane and withdraws its announcement.
+    let adaptive = AdaptiveBakery::new(n);
+    adaptive.acquire(0);
+    assert!(!adaptive.try_acquire(1));
+    assert_lanes_hold(adaptive.flat().registers(), &[1, 0], "adaptive flat");
+    adaptive.release(0);
+    adaptive.acquire(1);
+    adaptive.release(1);
 }
