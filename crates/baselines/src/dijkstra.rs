@@ -1,7 +1,7 @@
 //! Dijkstra's 1965 mutual exclusion algorithm.
 //!
 //! The first solution to the mutual exclusion problem (the paper's reference
-//! [3]) and the system model both Bakery and Bakery++ inherit.  It guarantees
+//! \[3\]) and the system model both Bakery and Bakery++ inherit.  It guarantees
 //! mutual exclusion and deadlock freedom but **not** first-come-first-served
 //! order or starvation freedom, and every process writes the shared variable
 //! `k` — two of the properties Lamport's Bakery was designed to add.  Having

@@ -2,7 +2,7 @@
 //! register and `SeqCst` on every access.
 //!
 //! This is the reference the packed locks in `bakery-core` are measured
-//! against (experiments **E6**/**E7** in `bench-json`): the same Algorithm 1,
+//! against (tables E6d and E7c of `bakery-experiments`): the same Algorithm 1,
 //! laid out one register per cache line with blanket sequential consistency.
 //! It shares no code with `bakery-core`'s locks, so the comparison covers
 //! the packed plane, the empty-bakery fast path and the two-fence ordering

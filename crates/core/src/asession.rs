@@ -6,8 +6,8 @@
 //! hand-rolled futures over the plain `std::task` machinery (no runtime
 //! dependency): an executor polls them, and the wait plane's
 //! [`register_waker`](crate::wait::WaitStrategy::register_waker) wakes them —
-//! under [`crate::wait::Park`] a pending client costs one queued [`Waker`],
-//! not a spinning core.
+//! under [`crate::wait::Park`] a pending client costs one queued
+//! [`Waker`](std::task::Waker), not a spinning core.
 //!
 //! ## Cancellation safety
 //!
@@ -27,10 +27,10 @@
 //!   therefore leaves `choosing[i] = number[i] = 0` — there is no
 //!   half-entered doorway to leak, because between polls none exists.
 //!
-//! The one cancellation residue is a registered [`Waker`] that will soak up a
-//! single wake; the session plane's batched attach wakes
-//! (`ATTACH_WAKE_BATCH` in [`crate::session`]) and the release pulse's
-//! broadcast tolerate both losses by design.
+//! The one cancellation residue is a registered
+//! [`Waker`](std::task::Waker) that will soak up a single wake; the session
+//! plane's batched attach wakes (`ATTACH_WAKE_BATCH` in [`crate::session`])
+//! and the release pulse's broadcast tolerate both losses by design.
 //!
 //! ## The register-then-revalidate handshake
 //!

@@ -14,9 +14,9 @@
 //!   hold a value above `M`, and any attempt to store a larger value is an
 //!   *overflow* which is counted and then saturated, wrapped or turned into a
 //!   panic depending on the configured [`OverflowPolicy`];
-//! * the classic [`BakeryLock`](bakery::BakeryLock) exhibits exactly the
+//! * the classic [`BakeryLock`] exhibits exactly the
 //!   failure mode the paper's Section 3 describes once its registers are
-//!   bounded, while [`BakeryPlusPlusLock`](bakery_pp::BakeryPlusPlusLock)
+//!   bounded, while [`BakeryPlusPlusLock`]
 //!   provably never attempts to store a value above its bound.
 //!
 //! ## Quick start
@@ -71,8 +71,8 @@
 //! owner's bit or lane, as one atomic operation — so readers of a shared
 //! word stay within the paper's safe-register model.  The `bakery-seqcst`
 //! baseline in `bakery-baselines` keeps the textbook one-atomic-per-register
-//! layout with `SeqCst` throughout, as the reference the `bench-json` binary
-//! in `bakery-bench` compares against.
+//! layout with `SeqCst` throughout, as the reference experiments E6 and E7
+//! of `bakery-experiments` time the packed locks against.
 //!
 //! ## The tree plane
 //!
@@ -104,7 +104,7 @@
 //! cf. van Glabbeek, Luttik & Spronck, *Just Verification of Mutual
 //! Exclusion Algorithms*, on how little of SC the Bakery proof actually
 //! uses).  The choice is exercised by the loom tests in
-//! `crates/core/tests/loom.rs` and the `ablation`/`bench-json` benchmarks.
+//! `crates/core/tests/loom.rs` and by E6's reference-vs-packed latency table.
 //! The abstract, paper-level semantics (including safe-register reads that
 //! may return arbitrary values) are model checked by the companion
 //! `bakery-spec` / `bakery-mc` crates.

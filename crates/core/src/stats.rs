@@ -4,9 +4,9 @@
 //! since construction: critical-section entries, overflow attempts, Bakery++
 //! reset branches, `L1` admission waits and doorway (`L2`/`L3`) wait
 //! iterations, plus the largest ticket value ever stored.  The experiment
-//! harness (crate `bakery-harness`) aggregates these counters into the tables
-//! of EXPERIMENTS.md, so they are cheap, always-on relaxed atomics rather than
-//! an optional feature.
+//! harness (crate `bakery-harness`) aggregates these counters into its
+//! experiment tables and `BENCH_*.json` files, so they are cheap, always-on
+//! relaxed atomics rather than an optional feature.
 
 use std::fmt;
 

@@ -6,19 +6,26 @@
 //! tournament-of-bounded-bakeries (`bakery-core::tree`) buys at large `N`:
 //!
 //! * **E10a** — analytic doorway footprint: words one uncontended acquisition
-//!   scans, flat vs tree, as `N` grows (the sub-linearity headline);
+//!   scans, flat vs tree, as `N` grows (the sub-linearity headline, gated:
+//!   quadrupling `N` must not double the tree's footprint);
 //! * **E10b** — measured uncontended acquire/release latency of the real
 //!   locks at large `N`;
 //! * **E10c** — contended throughput with a handful of live threads on
-//!   large-capacity locks, with the tree's per-level statistics.
+//!   large-capacity locks, in paired repetitions reported as medians;
+//! * **E10d** — the K = 4/8/16 arity sweep;
+//! * **E10e** — the tree's per-level statistics behind E10b and E10c.
+//!
+//! Every flat Bakery++ and tree measurement asserts zero overflow attempts.
 
 use std::sync::Arc;
 
+use bakery_core::stats::StatsSnapshot;
 use bakery_core::{BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery, DEFAULT_PP_BOUND};
 
-use crate::report::Table;
+use super::{median, paired_gain_pct};
+use crate::report::{num, Table};
 use crate::workload::{
-    measure_uncontended, run_workload, run_workload_placed, spread_placement, Workload,
+    measure_uncontended, run_workload_placed, spread_placement, Workload, WorkloadResult,
 };
 
 /// The `N` values the experiment sweeps.
@@ -41,23 +48,43 @@ pub fn flat_scan_words(n: usize) -> usize {
 }
 
 /// E10a: analytic doorway footprint, flat vs tree.
+///
+/// # Panics
+/// Panics if the tree's footprint at the largest `N` reaches twice its
+/// footprint at the smallest — the sub-linearity gate.
 #[must_use]
 pub fn footprint_table() -> Table {
     let mut table = Table::new(
         "E10a — doorway scan words per uncontended acquisition (flat vs tree)",
-        &["N", "flat bakery++ (packed)", "tree (K=8) words", "tree depth", "flat ÷ tree"],
+        &[
+            "N",
+            "flat bakery++ (packed) words",
+            "tree (K=8) words",
+            "tree depth",
+            "flat ÷ tree",
+        ],
     );
+    let mut tree_words = Vec::new();
     for &n in &SIZES {
         let flat = flat_scan_words(n);
         let tree = TreeBakery::with_arity(n, ARITY);
+        let words = tree.doorway_scan_words();
+        tree_words.push(words);
         table.push_row(vec![
-            n.to_string(),
-            flat.to_string(),
-            tree.doorway_scan_words().to_string(),
-            tree.depth().to_string(),
-            format!("{:.1}x", flat as f64 / tree.doorway_scan_words() as f64),
+            n.into(),
+            flat.into(),
+            words.into(),
+            tree.depth().into(),
+            num(flat as f64 / words as f64, 1),
         ]);
     }
+    let (small, large) = (tree_words[0], tree_words[SIZES.len() - 1]);
+    assert!(
+        large < 2 * small,
+        "tree doorway growth regressed: {small} words at N = {} -> {large} at N = {}",
+        SIZES[0],
+        SIZES[SIZES.len() - 1]
+    );
     table.push_note(
         "Quadrupling N quadruples the flat scan but adds only one level (a constant number of \
          words) to the tree's leaf-to-root path: O(N/8) vs O(K·log_K N).",
@@ -65,25 +92,94 @@ pub fn footprint_table() -> Table {
     table
 }
 
-/// E10b: measured uncontended latency at large N.
+/// E10e's empty table; E10b and E10c append the per-level statistics of
+/// every tree they measure.
 #[must_use]
-pub fn latency_table(quick: bool) -> Table {
+pub fn level_table() -> Table {
+    let mut table = Table::new(
+        "E10e — tree-bakery (K=8) per-level statistics behind E10b/E10c (level 0 = leaves)",
+        &[
+            "measurement",
+            "N",
+            "level",
+            "nodes",
+            "fast-path hits",
+            "doorway waits",
+            "L1 waits",
+            "resets",
+            "max ticket",
+        ],
+    );
+    table.push_note(
+        "Contended rows total every repetition of E10c (max ticket: the largest seen).  A \
+         single acquisition can count one fast-path hit per level.",
+    );
+    table
+}
+
+fn push_levels(levels: &mut Table, measurement: &str, n: usize, per_level: &[StatsSnapshot]) {
+    let tree = TreeBakery::with_arity(n, ARITY);
+    for (level, s) in per_level.iter().enumerate() {
+        levels.push_row(vec![
+            measurement.into(),
+            n.into(),
+            level.into(),
+            tree.nodes_at(level).into(),
+            s.fast_path_hits.into(),
+            s.doorway_waits.into(),
+            s.l1_waits.into(),
+            s.resets.into(),
+            s.max_ticket.into(),
+        ]);
+    }
+}
+
+fn level_snapshots(tree: &TreeBakery) -> Vec<StatsSnapshot> {
+    (0..tree.depth())
+        .map(|level| tree.level_snapshot(level))
+        .collect()
+}
+
+/// E10b: measured uncontended latency at large N; the tree's per-level
+/// statistics go to `levels` (E10e).
+///
+/// # Panics
+/// Panics if either lock records an overflow attempt.
+#[must_use]
+pub fn latency_table(quick: bool, levels: &mut Table) -> Table {
     let (iterations, samples) = if quick { (5_000, 3) } else { (50_000, 7) };
     let mut table = Table::new(
-        "E10b — uncontended acquire/release latency at large N (ns, median)",
-        &["N", "flat bakery++ (packed)", "tree-bakery (K=8)", "speedup"],
+        "E10b — uncontended acquire/release latency at large N (median)",
+        &[
+            "N",
+            "flat bakery++ (packed) ns",
+            "tree-bakery (K=8) ns",
+            "speedup (x)",
+            "flat overflow attempts",
+            "tree overflow attempts",
+        ],
     );
     for &n in &SIZES {
         let flat = BakeryPlusPlusLock::with_bound(n, DEFAULT_PP_BOUND);
         let tree = TreeBakery::with_arity(n, ARITY);
         let flat_ns = measure_uncontended(&flat, iterations, samples);
         let tree_ns = measure_uncontended(&tree, iterations, samples);
+        let flat_overflows = flat.stats().overflow_attempts();
+        let tree_overflows = tree.aggregate_snapshot().overflow_attempts;
+        assert_eq!(
+            (flat_overflows, tree_overflows),
+            (0, 0),
+            "N = {n}: no lock may overflow"
+        );
         table.push_row(vec![
-            n.to_string(),
-            format!("{flat_ns:.0}"),
-            format!("{tree_ns:.0}"),
-            format!("{:.2}x", flat_ns / tree_ns),
+            n.into(),
+            num(flat_ns, 1),
+            num(tree_ns, 1),
+            num(flat_ns / tree_ns, 2),
+            flat_overflows.into(),
+            tree_overflows.into(),
         ]);
+        push_levels(levels, "uncontended", n, &level_snapshots(&tree));
     }
     table.push_note(
         "Uncontended, the flat lock's fast path still scans its whole packed plane twice \
@@ -97,72 +193,106 @@ pub fn latency_table(quick: bool) -> Table {
 /// in both placement regimes — threads packed into one **shared leaf**
 /// (lowest slots, contention resolved inside a single node) and **spread**
 /// across distinct top-level subtrees (contention meets only at the root).
+///
+/// Paired design: every repetition runs the flat lock and both tree
+/// placements back to back on fresh locks; each tree gain is the median of
+/// its per-repetition ratios to the flat lock.  The tree's per-level
+/// statistics, totalled over the repetitions, go to `levels` (E10e).
+///
+/// # Panics
+/// Panics if any lock records an overflow attempt in any repetition.
 #[must_use]
-pub fn contended_table(quick: bool) -> Table {
+pub fn contended_table(quick: bool, levels: &mut Table) -> Table {
     let threads = 4;
+    let repetitions = if quick { 3 } else { 7 };
     let mut table = Table::new(
-        "E10c — contended throughput, 4 live threads on large-capacity locks",
+        format!(
+            "E10c — contended throughput, {threads} live threads on large-capacity locks \
+             ({repetitions} paired repetitions)"
+        ),
         &[
             "N",
             "algorithm / placement",
-            "acq/s",
+            "acq/s (median)",
+            "gain vs flat (%, median of paired ratios)",
+            "p99 latency (ns, median)",
             "resets",
             "fast-path hits",
-            "per-level doorway waits (leaf..root)",
+            "overflow attempts",
         ],
     );
+    let workload = Workload {
+        threads,
+        iterations_per_thread: if quick { 500 } else { 2_000 },
+        critical_section_work: 16,
+        think_work: 16,
+    };
     for &n in &SIZES {
-        let workload = Workload {
-            threads,
-            iterations_per_thread: if quick { 500 } else { 3_000 },
-            critical_section_work: 16,
-            think_work: 16,
+        let regimes = [
+            ("bakery++ (flat)", None),
+            ("tree-bakery (K=8, shared leaf)", None),
+            (
+                "tree-bakery (K=8, spread subtrees)",
+                Some(spread_placement(n, threads)),
+            ),
+        ];
+        // Per regime: one run per repetition, and the per-level counter
+        // totals over all repetitions (the flat lock is one level).
+        let mut runs: [Vec<WorkloadResult>; 3] = Default::default();
+        let mut per_level: [Vec<StatsSnapshot>; 3] = Default::default();
+        let mut add = |slot: usize, snapshots: Vec<StatsSnapshot>| {
+            per_level[slot].resize(snapshots.len(), StatsSnapshot::default());
+            for (total, s) in per_level[slot].iter_mut().zip(&snapshots) {
+                total.merge(s);
+            }
         };
-
-        let flat: Arc<dyn RawMutexAlgorithm> =
-            Arc::new(BakeryPlusPlusLock::with_bound(n, DEFAULT_PP_BOUND));
-        let result = run_workload(Arc::clone(&flat), &workload);
-        table.push_row(vec![
-            n.to_string(),
-            "bakery++ (flat)".into(),
-            format!("{:.0}", result.throughput()),
-            result.resets.to_string(),
-            result.fast_path_hits.to_string(),
-            "-".into(),
-        ]);
-
-        for (regime, placement) in [
-            ("shared leaf", None),
-            ("spread subtrees", Some(spread_placement(n, threads))),
-        ] {
-            let tree = Arc::new(TreeBakery::with_arity(n, ARITY));
-            let result = run_workload_placed(
-                Arc::clone(&tree) as Arc<dyn RawMutexAlgorithm>,
-                &workload,
-                placement.as_deref(),
-            );
-            let per_level: Vec<String> = (0..tree.depth())
-                .map(|level| tree.level_snapshot(level).doorway_waits.to_string())
-                .collect();
-            let aggregate = tree.aggregate_snapshot();
+        for _ in 0..repetitions {
+            let flat = Arc::new(BakeryPlusPlusLock::with_bound(n, DEFAULT_PP_BOUND));
+            let lock = Arc::clone(&flat) as Arc<dyn RawMutexAlgorithm>;
+            runs[0].push(run_workload_placed(lock, &workload, None));
+            add(0, vec![flat.stats().snapshot()]);
+            for slot in [1, 2] {
+                let tree = Arc::new(TreeBakery::with_arity(n, ARITY));
+                let placement = regimes[slot].1.as_deref();
+                let lock = Arc::clone(&tree) as Arc<dyn RawMutexAlgorithm>;
+                runs[slot].push(run_workload_placed(lock, &workload, placement));
+                add(slot, level_snapshots(&tree));
+            }
+        }
+        for (slot, (name, _)) in regimes.iter().enumerate() {
+            let totals = per_level[slot]
+                .iter()
+                .fold(StatsSnapshot::default(), |mut all, s| {
+                    all.merge(s);
+                    all
+                });
+            assert_eq!(totals.overflow_attempts, 0, "N = {n}, {name}: overflow");
+            let gain = (slot > 0).then(|| num(paired_gain_pct(&runs[slot], &runs[0]), 1));
+            let stat = |f: fn(&WorkloadResult) -> f64| median(runs[slot].iter().map(f).collect());
             table.push_row(vec![
-                n.to_string(),
-                format!("tree-bakery (K=8, {regime})"),
-                format!("{:.0}", result.throughput()),
-                aggregate.resets.to_string(),
-                aggregate.fast_path_hits.to_string(),
-                per_level.join(" / "),
+                n.into(),
+                (*name).into(),
+                num(stat(WorkloadResult::throughput), 0),
+                gain.into(),
+                num(stat(|r| r.latency.quantile_ns(0.99) as f64), 0),
+                totals.resets.into(),
+                totals.fast_path_hits.into(),
+                totals.overflow_attempts.into(),
             ]);
-            assert_eq!(aggregate.overflow_attempts, 0, "the tree must never overflow");
+            if slot > 0 {
+                let regime = if slot == 1 { "shared leaf" } else { "spread" };
+                push_levels(levels, &format!("contended, {regime}"), n, &per_level[slot]);
+            }
         }
     }
     table.push_note(
         "Shared leaf (lowest slots): the tree resolves all contention inside one leaf node and \
          climbs an uncontended path.  Spread subtrees (slots strided across top-level subtrees): \
          every thread climbs a private path and the conflict moves to the root node — the \
-         root-contention regime, visible as the doorway waits shifting from the leaf level to \
-         the root level.  The flat lock's wait loops scan all N registers either way.  Tree \
-         fast-path hits count per node (up to depth per acquisition).",
+         root-contention regime, visible in E10e as the doorway waits shifting from the leaf \
+         level to the root level.  The flat lock's wait loops scan all N registers either way.  \
+         Counters total every repetition; tree fast-path hits count per node (up to depth per \
+         acquisition).",
     );
     table
 }
@@ -199,7 +329,12 @@ pub fn arity_table(quick: bool) -> Table {
             critical_section_work: 16,
             think_work: 16,
         };
-        let mut regimes = Vec::new();
+        let mut row = vec![
+            arity.into(),
+            depth.into(),
+            words.into(),
+            num(uncontended_ns, 0),
+        ];
         for placement in [None, Some(spread_placement(n, threads))] {
             let tree = Arc::new(TreeBakery::with_arity(n, arity));
             let result = run_workload_placed(
@@ -207,17 +342,11 @@ pub fn arity_table(quick: bool) -> Table {
                 &workload,
                 placement.as_deref(),
             );
-            assert_eq!(tree.aggregate_snapshot().overflow_attempts, 0);
-            regimes.push(format!("{:.0}", result.throughput()));
+            let overflows = tree.aggregate_snapshot().overflow_attempts;
+            assert_eq!(overflows, 0, "the tree must never overflow");
+            row.push(num(result.throughput(), 0));
         }
-        table.push_row(vec![
-            arity.to_string(),
-            depth.to_string(),
-            words.to_string(),
-            format!("{uncontended_ns:.0}"),
-            regimes[0].clone(),
-            regimes[1].clone(),
-        ]);
+        table.push_row(row);
     }
     table.push_note(
         "Small K: deeper trees, more node acquisitions per entry but narrower scans. Large K: \
@@ -231,24 +360,24 @@ pub fn arity_table(quick: bool) -> Table {
 /// Runs E10 and renders its tables.
 #[must_use]
 pub fn run(quick: bool) -> Vec<Table> {
-    vec![
-        footprint_table(),
-        latency_table(quick),
-        contended_table(quick),
-        arity_table(quick),
-    ]
+    let mut levels = level_table();
+    let footprint = footprint_table();
+    let latency = latency_table(quick, &mut levels);
+    let contended = contended_table(quick, &mut levels);
+    vec![footprint, latency, contended, arity_table(quick), levels]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bakery_json::Value;
 
     #[test]
     fn footprint_is_sublinear() {
         let table = footprint_table();
         assert_eq!(table.len(), SIZES.len());
-        let flat: Vec<usize> = table.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        let tree: Vec<usize> = table.rows.iter().map(|r| r[2].parse().unwrap()).collect();
+        let flat: Vec<i128> = table.rows.iter().map(|r| r[1].as_i128().unwrap()).collect();
+        let tree: Vec<i128> = table.rows.iter().map(|r| r[2].as_i128().unwrap()).collect();
         assert_eq!(flat[2], 4 * flat[0], "flat scan words are linear in N");
         assert!(
             tree[2] < tree[0] * 2,
@@ -259,19 +388,44 @@ mod tests {
 
     #[test]
     fn contended_table_reports_both_placement_regimes() {
-        let table = contended_table(true);
+        let mut levels = level_table();
+        let table = contended_table(true, &mut levels);
         assert_eq!(table.len(), 3 * SIZES.len());
+        let name = |row: &Vec<Value>| row[1].as_str().unwrap().to_string();
         let tree_rows: Vec<_> = table
             .rows
             .iter()
-            .filter(|r| r[1].starts_with("tree"))
+            .filter(|r| name(r).starts_with("tree"))
             .collect();
         assert_eq!(tree_rows.len(), 2 * SIZES.len());
         for row in &tree_rows {
-            assert!(row[5].contains('/'), "per-level stats rendered: {row:?}");
+            assert!(row[3].as_f64().is_some(), "paired gain vs flat: {row:?}");
+            assert_eq!(row[7], Value::Int(0), "overflow attempts: {row:?}");
         }
-        assert!(tree_rows.iter().any(|r| r[1].contains("shared leaf")));
-        assert!(tree_rows.iter().any(|r| r[1].contains("spread subtrees")));
+        assert!(tree_rows.iter().any(|r| name(r).contains("shared leaf")));
+        assert!(tree_rows
+            .iter()
+            .any(|r| name(r).contains("spread subtrees")));
+        // Per-level rows for both placements at every N: depth 3, 3 and 4.
+        assert_eq!(levels.len(), 2 * (3 + 3 + 4));
+        // In the spread regime no two threads share a leaf, so leaf-level
+        // doorway waiting must not exceed the shared-leaf regime's (root
+        // waits move the other way, but on a 1-CPU runner both can be near
+        // zero, so only the leaf side is asserted).
+        let leaf_waits = |measurement: &str, n: usize| {
+            let row = levels.rows.iter().find(|r| {
+                r[0] == Value::from(measurement) && r[1] == Value::from(n) && r[2] == Value::Int(0)
+            });
+            row.unwrap()[5].as_i128().unwrap()
+        };
+        for n in SIZES {
+            let shared = leaf_waits("contended, shared leaf", n);
+            let spread = leaf_waits("contended, spread", n);
+            assert!(
+                spread <= shared || shared == 0,
+                "N = {n}: spread {spread} vs shared {shared}"
+            );
+        }
     }
 
     #[test]
@@ -303,12 +457,12 @@ mod tests {
         let table = arity_table(true);
         assert_eq!(table.len(), ARITIES.len());
         for (row, &arity) in table.rows.iter().zip(&ARITIES) {
-            assert_eq!(row[0], arity.to_string());
-            let depth: usize = row[1].parse().unwrap();
+            assert_eq!(row[0], Value::from(arity));
+            let depth = row[1].as_i128().unwrap();
             assert!(depth >= 2, "512 processes need at least two levels");
         }
         // Scan words are not monotone in K: depth falls as width grows.
-        let words: Vec<usize> = table.rows.iter().map(|r| r[2].parse().unwrap()).collect();
+        let words: Vec<i128> = table.rows.iter().map(|r| r[2].as_i128().unwrap()).collect();
         assert!(words.iter().all(|&w| w > 0));
     }
 }

@@ -42,7 +42,9 @@ use bakery_core::{
     DEFAULT_PP_BOUND,
 };
 
-use crate::report::Table;
+use bakery_json::Value;
+
+use crate::report::{num, Table};
 use crate::workload::busy_work;
 
 /// A service lock plus, for the adaptive entry, a typed handle for probing
@@ -302,7 +304,6 @@ pub fn run_service(
 /// quiet period is sized past the churn's release count so the reverse
 /// migration lands deterministically in the subside phase.  The contention
 /// trigger is disabled: E11 measures the leased-capacity round trip.
-/// Public so the `bench-json` baseline runs the identical lock set.
 #[must_use]
 pub fn service_locks(config: &ServiceConfig) -> Vec<ServiceLock> {
     let slots = config.slots;
@@ -343,23 +344,26 @@ pub fn run(quick: bool) -> Vec<Table> {
     let expected_sessions = (config.clients + config.subside_clients) as u64;
     let mut table = Table::new(
         format!(
-            "E11 — lock service: {} clients over {} slots ({}x oversubscribed), {} CS each, \
-             then a {}-client subside",
-            config.clients,
-            config.slots,
-            config.oversubscription(),
-            config.cs_per_session,
-            config.subside_clients,
+            "E11 — lock service: session churn {}x oversubscribed, then a one-at-a-time subside",
+            config.oversubscription()
         ),
         &[
             "algorithm",
+            "slots",
+            "clients",
+            "subside clients",
+            "CS / session",
             "sessions/s",
             "cs/s",
             "attaches",
             "detaches",
             "aliasing",
             "fast-path hits",
-            "migrations",
+            "migrations forward",
+            "migrations reverse",
+            "round trip",
+            "crash aborts",
+            "seat recoveries",
         ],
     );
     for (lock, adaptive) in service_locks(&config) {
@@ -368,7 +372,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         assert_eq!(result.sessions, expected_sessions, "{}", result.algorithm);
         assert_eq!(result.attaches, expected_sessions, "{}", result.algorithm);
         assert_eq!(result.detaches, expected_sessions, "{}", result.algorithm);
-        let migrations = match result.final_phase {
+        let round_trip = match result.final_phase {
             Some(phase) => {
                 // The subside scenario's headline assertion: exactly one
                 // migration in each direction, ending flat-resident.
@@ -382,23 +386,31 @@ pub fn run(quick: bool) -> Vec<Table> {
                     bakery_core::adaptive::EPOCH_FLAT,
                     "the round trip must end on the flat plane"
                 );
-                "flat->tree->flat".to_string()
+                Value::Bool(true)
             }
             None => {
                 assert_eq!(result.migrations_forward, 0, "{}", result.algorithm);
                 assert_eq!(result.migrations_reverse, 0, "{}", result.algorithm);
-                "-".to_string()
+                Value::Null
             }
         };
         table.push_row(vec![
-            result.algorithm.clone(),
-            format!("{:.0}", result.sessions_per_sec()),
-            format!("{:.0}", result.cs_per_sec()),
-            result.attaches.to_string(),
-            result.detaches.to_string(),
-            result.aliasing_violations.to_string(),
-            result.fast_path_hits.to_string(),
-            migrations,
+            result.algorithm.clone().into(),
+            config.slots.into(),
+            config.clients.into(),
+            config.subside_clients.into(),
+            config.cs_per_session.into(),
+            num(result.sessions_per_sec(), 0),
+            num(result.cs_per_sec(), 0),
+            result.attaches.into(),
+            result.detaches.into(),
+            result.aliasing_violations.into(),
+            result.fast_path_hits.into(),
+            result.migrations_forward.into(),
+            result.migrations_reverse.into(),
+            round_trip,
+            result.crash_aborts.into(),
+            result.seat_recoveries.into(),
         ]);
     }
     table.push_note(
@@ -407,7 +419,9 @@ pub fn run(quick: bool) -> Vec<Table> {
          (asserted in-test).  The adaptive lock crosses its leased-capacity threshold \
          mid-churn, hands off flat->tree without dropping a session, and once the subside \
          phase stays below its low watermark for a full quiet period it drains the tree \
-         and hands back tree->flat — exactly one migration each way, ending flat.",
+         and hands back tree->flat — exactly one migration each way, ending flat (round \
+         trip = yes; a dash for the non-adaptive locks).  The crash counters stay 0 in this \
+         crash-free churn; E12 is the experiment that injects crashes.",
     );
     vec![table]
 }
@@ -505,15 +519,18 @@ mod tests {
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 3);
         let names: Vec<_> = tables[0].rows.iter().map(|r| r[0].clone()).collect();
-        assert!(names.contains(&"bakery++".to_string()));
-        assert!(names.contains(&"tree-bakery".to_string()));
-        assert!(names.contains(&"adaptive-bakery".to_string()));
+        assert!(names.contains(&Value::from("bakery++")));
+        assert!(names.contains(&Value::from("tree-bakery")));
+        assert!(names.contains(&Value::from("adaptive-bakery")));
         let adaptive_row = tables[0]
             .rows
             .iter()
-            .find(|r| r[0] == "adaptive-bakery")
+            .find(|r| r[0] == Value::from("adaptive-bakery"))
             .unwrap();
-        assert_eq!(adaptive_row[5], "0", "aliasing column");
-        assert_eq!(adaptive_row[7], "flat->tree->flat");
+        assert_eq!(adaptive_row[9], Value::Int(0), "aliasing column");
+        assert_eq!(
+            adaptive_row[11..14],
+            [Value::Int(1), Value::Int(1), Value::Bool(true)]
+        );
     }
 }

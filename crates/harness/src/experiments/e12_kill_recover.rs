@@ -73,7 +73,9 @@ use bakery_core::{
 };
 use bakery_sim::FaultPlan;
 
-use crate::report::Table;
+use bakery_json::Value;
+
+use crate::report::{num, Table};
 use crate::workload::busy_work;
 
 /// The named protocol points a victim can be killed at (see the module
@@ -128,7 +130,7 @@ pub struct KillConfig {
     /// Busy-work units inside each critical section.
     pub cs_work: u64,
     /// `Some(p)`: every `p`-th client of a round is a victim (site cycling
-    /// through [`CHURN_SITES`] on the fixed schedule).  `None`: the
+    /// through the churn sites `doorway`, `release` on the fixed schedule).  `None`: the
     /// crash-free baseline.
     pub crash_period: Option<usize>,
 }
@@ -183,7 +185,7 @@ impl KillConfig {
 
     /// The fixed, RNG-free kill schedule for one round: a
     /// [`FaultPlan::at_steps`] plan keyed by the round-local client index,
-    /// whose "victim" field selects the [`CHURN_SITES`] entry.
+    /// whose "victim" field selects the churn site (`doorway`, `release`).
     #[must_use]
     pub fn round_schedule(&self) -> FaultPlan {
         match self.crash_period {
@@ -566,15 +568,22 @@ pub fn run(quick: bool) -> Vec<Table> {
         "E12 — kill-and-recover: session churn with crashes injected at a swept rate",
         &[
             "algorithm",
-            "crash period",
-            "crashes (churn+cs)",
+            "crash period (1 in N clients)",
+            "churn crashes",
+            "cs crashes",
             "sessions",
             "cs/s",
-            "vs crash-free",
-            "recovered (idle/quar)",
+            "vs crash-free (%)",
+            "recycled idle",
+            "quarantined",
+            "refused",
+            "crash aborts",
+            "seat recoveries",
             "aliasing",
-            "recovery µs (mean/max)",
-            "waiter blocked µs (mean/max)",
+            "recovery mean µs",
+            "recovery max µs",
+            "waiter blocked mean µs",
+            "waiter blocked max µs",
         ],
     );
     let slots = KillConfig::standard(quick, None).slots;
@@ -601,34 +610,33 @@ pub fn run(quick: bool) -> Vec<Table> {
             );
             let degradation = if period.is_none() {
                 baseline_cs_per_sec = result.cs_per_sec();
-                "baseline".to_string()
+                Value::Null
             } else if baseline_cs_per_sec > 0.0 {
-                format!(
-                    "{:+.1}%",
-                    (result.cs_per_sec() - baseline_cs_per_sec) / baseline_cs_per_sec * 100.0
+                num(
+                    (result.cs_per_sec() - baseline_cs_per_sec) / baseline_cs_per_sec * 100.0,
+                    1,
                 )
             } else {
-                "-".to_string()
+                Value::Null
             };
             churn.push_row(vec![
-                result.algorithm.clone(),
-                period.map_or("-".to_string(), |p| format!("1/{p}")),
-                format!("{}+{}", result.injected_crashes, result.cs_crashes),
-                result.completed_sessions.to_string(),
-                format!("{:.0}", result.cs_per_sec()),
+                result.algorithm.clone().into(),
+                period.into(),
+                result.injected_crashes.into(),
+                result.cs_crashes.into(),
+                result.completed_sessions.into(),
+                num(result.cs_per_sec(), 0),
                 degradation,
-                format!("{}/{}", result.recycled_idle, result.quarantined),
-                result.aliasing_violations.to_string(),
-                format!(
-                    "{:.1}/{:.1}",
-                    result.recovery.mean_ns() / 1_000.0,
-                    result.recovery.max_ns() as f64 / 1_000.0
-                ),
-                format!(
-                    "{:.1}/{:.1}",
-                    result.waiter_blocked.mean_ns() / 1_000.0,
-                    result.waiter_blocked.max_ns() as f64 / 1_000.0
-                ),
+                result.recycled_idle.into(),
+                result.quarantined.into(),
+                result.refused.into(),
+                result.crash_aborts.into(),
+                result.seat_recoveries.into(),
+                result.aliasing_violations.into(),
+                num(result.recovery.mean_ns() / 1_000.0, 1),
+                num(result.recovery.max_ns() as f64 / 1_000.0, 1),
+                num(result.waiter_blocked.mean_ns() / 1_000.0, 1),
+                num(result.waiter_blocked.max_ns() as f64 / 1_000.0, 1),
             ]);
         }
     }
@@ -638,24 +646,22 @@ pub fn run(quick: bool) -> Vec<Table> {
          The reaper recovers every dead seat — idle recycles for clean deaths, quarantine \
          + explicit hand-back for dead CS holders — and the wedged waiter's unblock time \
          is the measured recovery latency.  Zero aliasing and balanced recovery books are \
-         asserted in-test; a deadlock would hang the run.",
+         asserted in-test; a deadlock would hang the run.  The crash-free baseline row has a \
+         dash for its period and for the throughput delta it is the reference of.",
     );
 
     let samples = if quick { 8 } else { 32 };
     let mut probe = Table::new(
         "E12 probe — dead ticket holders (l2/l3 sites) on raw Bakery++",
-        &["site", "samples", "recovery µs (mean/max)"],
+        &["site", "samples", "recovery mean µs", "recovery max µs"],
     );
     for site in [CrashSite::L2, CrashSite::L3] {
         let result = run_probe(site, samples);
         probe.push_row(vec![
-            result.site.name().to_string(),
-            result.recovery.len().to_string(),
-            format!(
-                "{:.1}/{:.1}",
-                result.recovery.mean_ns() / 1_000.0,
-                result.recovery.max_ns() as f64 / 1_000.0
-            ),
+            result.site.name().into(),
+            result.recovery.len().into(),
+            num(result.recovery.mean_ns() / 1_000.0, 1),
+            num(result.recovery.max_ns() as f64 / 1_000.0, 1),
         ]);
     }
     probe.push_note(

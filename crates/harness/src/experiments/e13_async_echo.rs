@@ -19,10 +19,10 @@
 //! The full run serves **10⁵ clients over ≤ 64 slots** (quick: 10⁴), once
 //! per wait strategy — `spin` (pending futures self-wake and re-poll: the
 //! executor queue *is* the spin loop), `yield` (same async path, thread
-//! waits yield), and `park` (pending futures cost one registered [`Waker`];
-//! seats wake them in `ATTACH_WAKE_BATCH`ed pulses).  Reported per
-//! strategy: sessions/sec, echoes/sec and the attach-latency distribution
-//! (p50/p99/max).
+//! waits yield), and `park` (pending futures cost one registered
+//! [`Waker`](std::task::Waker); seats wake them in `ATTACH_WAKE_BATCH`ed
+//! pulses).  Reported per strategy: sessions/sec, echoes/sec and the
+//! attach-latency distribution (p50/p99/max).
 //!
 //! Two invariants are asserted **in-run**, mirroring E11:
 //!
@@ -40,7 +40,7 @@ use bakery_core::{BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, DEFAULT_P
 
 use crate::executor::Executor;
 use crate::histogram::LatencyHistogram;
-use crate::report::Table;
+use crate::report::{num, Table};
 use crate::workload::busy_work;
 
 /// The wait strategies E13 sweeps, in report order.
@@ -252,7 +252,7 @@ pub fn run_echo(strategy: &str, config: &EchoConfig) -> EchoResult {
 /// # Panics
 /// Panics if any strategy drops a client, aliases a seat, or overlaps two
 /// critical sections — the acceptance gates, asserted here so every path
-/// that runs the experiment (runner, bench, tests) enforces them.
+/// that runs the experiment (runner, tests) enforces them.
 #[must_use]
 pub fn run(quick: bool) -> Vec<Table> {
     let config = EchoConfig::standard(quick);
@@ -260,12 +260,17 @@ pub fn run(quick: bool) -> Vec<Table> {
         "E13: async echo service — wait-strategy sweep",
         &[
             "strategy",
+            "slots",
+            "connections",
+            "echoes / client",
+            "executor workers",
             "sessions",
             "sessions/s",
             "echoes/s",
             "attach p50 µs",
             "attach p99 µs",
             "attach max µs",
+            "attach mean µs",
             "parks",
             "notifies",
             "park timeouts",
@@ -287,29 +292,30 @@ pub fn run(quick: bool) -> Vec<Table> {
             config.clients as u64,
             "{strategy}: every client must contribute one attach-latency sample"
         );
+        let micros = |ns: u64| num(ns as f64 / 1_000.0, 1);
         table.push_row(vec![
-            result.strategy.clone(),
-            result.completed_sessions.to_string(),
-            format!("{:.0}", result.sessions_per_sec()),
-            format!("{:.0}", result.echoes_per_sec()),
-            format!("{:.1}", result.attach_latency.quantile_ns(0.5) as f64 / 1_000.0),
-            format!("{:.1}", result.attach_latency.quantile_ns(0.99) as f64 / 1_000.0),
-            format!("{:.1}", result.attach_latency.max_ns() as f64 / 1_000.0),
-            result.parks.to_string(),
-            result.notifies.to_string(),
-            result.park_timeouts.to_string(),
-            result.aliasing_violations.to_string(),
+            result.strategy.clone().into(),
+            config.slots.into(),
+            config.connections.into(),
+            config.echoes_per_client.into(),
+            config.workers.into(),
+            result.completed_sessions.into(),
+            num(result.sessions_per_sec(), 0),
+            num(result.echoes_per_sec(), 0),
+            micros(result.attach_latency.quantile_ns(0.5)),
+            micros(result.attach_latency.quantile_ns(0.99)),
+            micros(result.attach_latency.max_ns()),
+            micros(result.attach_latency.mean_ns()),
+            result.parks.into(),
+            result.notifies.into(),
+            result.park_timeouts.into(),
+            result.aliasing_violations.into(),
         ]);
     }
     table.push_note(format!(
-        "{} clients as {} connection futures over {} slots ({}x oversubscribed), \
-         {} echoes/client, {} executor workers; attach latency = request to leased seat.",
-        config.clients,
-        config.connections,
-        config.slots,
-        config.oversubscription(),
-        config.echoes_per_client,
-        config.workers,
+        "Connection futures are {}x oversubscribed over the slots; attach latency = request \
+         to leased seat; sessions = clients (asserted).",
+        config.oversubscription()
     ));
     table.push_note(
         "spin/yield pending futures re-poll through the executor queue; park pending \

@@ -139,22 +139,20 @@ pub fn run(quick: bool) -> Vec<Table> {
         let classic = run_classic_alternation(bound, rounds);
         let pp = run_pp_alternation(bound, rounds);
         table.push_row(vec![
-            bound.to_string(),
-            rounds.to_string(),
-            classic
-                .first_overflow_round
-                .map_or_else(|| "never".to_string(), |r| r.to_string()),
-            classic.overflow_attempts.to_string(),
-            classic.max_ticket.to_string(),
-            pp.max_ticket.to_string(),
-            pp.resets.to_string(),
-            pp.l1_blocked_rounds.to_string(),
-            pp.overflow_attempts.to_string(),
+            bound.into(),
+            rounds.into(),
+            classic.first_overflow_round.into(),
+            classic.overflow_attempts.into(),
+            classic.max_ticket.into(),
+            pp.max_ticket.into(),
+            pp.resets.into(),
+            pp.l1_blocked_rounds.into(),
+            pp.overflow_attempts.into(),
         ]);
     }
     table.push_note(
-        "Classic Bakery overflows roughly at round M - 1 and keeps overflowing; \
-         Bakery++ caps every ticket at M and never attempts an out-of-range store.",
+        "Classic Bakery overflows roughly at round M - 1 and keeps overflowing (a dash: it \
+         never did); Bakery++ caps every ticket at M and never attempts an out-of-range store.",
     );
 
     // Unbounded growth side table: the §3 statement that tickets grow without
@@ -167,9 +165,9 @@ pub fn run(quick: bool) -> Vec<Table> {
         let classic = run_classic_alternation(u64::MAX, k);
         let pp = run_pp_alternation(65_535, k);
         growth.push_row(vec![
-            k.to_string(),
-            classic.max_ticket.to_string(),
-            pp.max_ticket.to_string(),
+            k.into(),
+            classic.max_ticket.into(),
+            pp.max_ticket.into(),
         ]);
     }
     growth.push_note("The classic ticket grows linearly with the number of rounds; Bakery++ is capped by M.");

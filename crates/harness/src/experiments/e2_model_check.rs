@@ -4,12 +4,15 @@
 //! register bound M) the entire state space is explored and the two invariants
 //! *NoOverflow* and *MutualExclusion* are checked on every reachable state.
 //! Bakery++ satisfies both; the classic Bakery on the same bounded registers
-//! reaches an overflow state.
+//! reaches an overflow state.  Two more tables: **E2b** compares state-space
+//! sizes under atomic and safe (flickering) registers, and **E2c** runs the
+//! tree close-out at 1, 2 and 4 explorer threads, asserting that counts and
+//! digest are thread-count invariant.
 
 use bakery_mc::ModelChecker;
 use bakery_spec::{BakeryPlusPlusSpec, BakerySpec, RegisterSemantics, TreeBakerySpec};
 
-use crate::report::Table;
+use crate::report::{num, Table};
 
 /// One model-checking configuration and its outcome.
 #[derive(Debug, Clone)]
@@ -68,34 +71,37 @@ pub fn check_bakery_pp(n: usize, bound: u64, max_states: usize) -> CheckOutcome 
     outcome_from_report("bakery++".into(), n, bound, &report)
 }
 
+/// The two-level binary tree specification with the given active process
+/// subset (`None` = all four leaves live), and its row name.
+fn tree_spec(active: Option<&[usize]>) -> (TreeBakerySpec, String) {
+    match active {
+        Some(pids) => (
+            TreeBakerySpec::new(2, 2).with_active_processes(pids),
+            format!("tree-bakery (2-level, active {pids:?})"),
+        ),
+        None => (
+            TreeBakerySpec::new(2, 2),
+            "tree-bakery (2-level, all 4)".into(),
+        ),
+    }
+}
+
 /// Model checks the tree-composite lock's two-level binary specification
-/// with the given active process subset (`None` = all four leaves live).
+/// with the given active process subset.
 ///
 /// Tree rows run with the orbit-wise symmetry compression: the visited set
 /// stores one canonical representative per leaf-placement orbit, which is
 /// what lets the full four-process row close out (see the `mc-exhaustive`
 /// CI job), and the canonical column reports the orbit count.
 #[must_use]
-pub fn check_tree(active: Option<&[usize]>, max_states: usize) -> CheckOutcome {
-    let spec = match active {
-        Some(pids) => TreeBakerySpec::new(2, 2).with_active_processes(pids),
-        None => TreeBakerySpec::new(2, 2),
-    };
+pub fn check_tree(active: &[usize], max_states: usize) -> CheckOutcome {
+    let (spec, algorithm) = tree_spec(Some(active));
     let report = ModelChecker::new(&spec)
         .with_paper_invariants()
         .with_symmetry_reduction(true)
         .with_max_states(max_states)
         .run();
-    let algorithm = match active {
-        Some(pids) => format!("tree-bakery (2-level, active {pids:?})"),
-        None => "tree-bakery (2-level, all 4)".into(),
-    };
-    outcome_from_report(
-        algorithm,
-        active.map_or(4, <[usize]>::len),
-        spec.bound(),
-        &report,
-    )
+    outcome_from_report(algorithm, active.len(), spec.bound(), &report)
 }
 
 /// Model checks the bounded classic Bakery.
@@ -111,35 +117,35 @@ pub fn check_classic_bakery(n: usize, bound: u64, max_states: usize) -> CheckOut
 
 fn push_outcome(table: &mut Table, outcome: &CheckOutcome) {
     table.push_row(vec![
-        outcome.algorithm.clone(),
-        outcome.n.to_string(),
-        outcome.bound.to_string(),
-        outcome.states.to_string(),
-        if outcome.symmetry_order > 1 {
-            format!(
-                "{} (/{})",
-                outcome.canonical_states, outcome.symmetry_order
-            )
-        } else {
-            "-".to_string()
-        },
-        outcome.transitions.to_string(),
-        if outcome.complete { "yes" } else { "no (bounded)" }.to_string(),
+        outcome.algorithm.clone().into(),
+        outcome.n.into(),
+        outcome.bound.into(),
+        outcome.states.into(),
+        (outcome.symmetry_order > 1)
+            .then_some(outcome.canonical_states)
+            .into(),
+        outcome.symmetry_order.into(),
+        outcome.transitions.into(),
+        outcome.complete.into(),
         if outcome.violated.is_empty() {
-            "holds".to_string()
+            "holds".into()
         } else {
-            format!(
-                "VIOLATED: {} (depth {})",
-                outcome.violated.join(", "),
-                outcome.violation_depth.unwrap_or(0)
-            )
+            format!("VIOLATED: {}", outcome.violated.join(", ")).into()
         },
+        outcome.violation_depth.into(),
     ]);
 }
 
-/// Runs E2 and renders its table.
+/// Runs E2 and renders its tables.
+///
+/// # Panics
+/// Panics if the scaling runs disagree across thread counts or fail to
+/// verify (see [`scaling_rows`]).
 #[must_use]
 pub fn run(quick: bool) -> Vec<Table> {
+    // The scaling runs go first: in full mode the 1-thread close-out doubles
+    // as the main table's four-process tree row.
+    let scaling = scaling_rows(quick);
     let max_states = if quick { 300_000 } else { 3_000_000 };
     let mut table = Table::new(
         "E2 — exhaustive model checking (NoOverflow ∧ MutualExclusion)",
@@ -148,10 +154,12 @@ pub fn run(quick: bool) -> Vec<Table> {
             "N",
             "M",
             "states",
-            "canonical (sym)",
+            "canonical orbits",
+            "symmetry order",
             "transitions",
             "complete",
             "verdict",
+            "violation depth",
         ],
     );
 
@@ -167,10 +175,10 @@ pub fn run(quick: bool) -> Vec<Table> {
     // Tree composition: both two-process placements close out exhaustively;
     // the full four-process tree closes out too, but only with the full-run
     // state budget (quick mode stays bounded).
-    push_outcome(&mut table, &check_tree(Some(&[0, 1]), max_states));
-    push_outcome(&mut table, &check_tree(Some(&[0, 2]), max_states));
+    push_outcome(&mut table, &check_tree(&[0, 1], max_states));
+    push_outcome(&mut table, &check_tree(&[0, 2], max_states));
     if !quick {
-        push_outcome(&mut table, &check_tree(None, TREE_CLOSEOUT_BUDGET));
+        push_outcome(&mut table, &scaling[0].outcome);
     }
     table.push_note(
         "Bakery++ satisfies both invariants on every reachable state (the paper's Theorem, §6.1); \
@@ -179,22 +187,33 @@ pub fn run(quick: bool) -> Vec<Table> {
          with the orbit-compressed visited set (leaf-placement symmetry, canonical column = \
          orbit count): two-process placements verify exhaustively in any mode, and the full \
          four-process tree **closes out exhaustively** in full mode and in the mc-exhaustive CI \
-         job — 39,624,406 states, 8,052,063 canonical orbits (/8), zero violations.",
+         job — 39,624,406 states, 8,052,063 canonical orbits (/8), zero violations; that row \
+         is E2c's 1-thread run, which also checks the tree's path-ownership invariant.  A \
+         dash in the canonical column means no symmetry compression; complete = no marks a \
+         budget-bounded run.",
     );
 
     let mut semantics_table = Table::new(
         "E2b — state-space size: atomic vs safe (flickering) registers",
-        &["algorithm", "N", "M", "atomic states", "safe states", "blowup", "complete"],
+        &[
+            "algorithm",
+            "N",
+            "M",
+            "atomic states",
+            "safe states",
+            "blowup (x)",
+            "complete",
+        ],
     );
     for row in semantics_rows(quick) {
         semantics_table.push_row(vec![
-            row.algorithm.clone(),
-            row.n.to_string(),
-            row.bound.to_string(),
-            row.atomic_states.to_string(),
-            row.safe_states.to_string(),
-            format!("{:.2}x", row.blowup),
-            if row.complete { "yes" } else { "no (bounded)" }.to_string(),
+            row.algorithm.into(),
+            row.n.into(),
+            row.bound.into(),
+            row.atomic_states.into(),
+            row.safe_states.into(),
+            num(row.blowup, 2),
+            row.complete.into(),
         ]);
     }
     semantics_table.push_note(
@@ -205,7 +224,7 @@ pub fn run(quick: bool) -> Vec<Table> {
          (`tests/weak_registers.rs`) verify the paper invariants over exactly these enlarged \
          spaces.",
     );
-    vec![table, semantics_table]
+    vec![table, semantics_table, scaling_table(&scaling)]
 }
 
 /// State budget of the full four-process close-out row (full mode only):
@@ -279,22 +298,17 @@ pub fn semantics_rows(quick: bool) -> Vec<SemanticsRow> {
     rows
 }
 
-/// One row of the E2 scaling table (`bench-json --only e2`): one exhaustive
-/// exploration of the scaling configuration at one worker-thread count.
+/// One row of the E2c scaling table: one exhaustive exploration of the
+/// scaling configuration at one worker-thread count.
 #[derive(Debug, Clone)]
 pub struct ScalingRow {
-    /// Which configuration the row explored.
-    pub configuration: String,
     /// Worker threads of the run.
     pub threads: usize,
     /// Wall-clock seconds of the exploration (excluding spec construction).
     pub wall_s: f64,
-    /// Distinct concrete states visited.
-    pub states: usize,
-    /// Symmetry orbits (canonical states).
-    pub canonical_states: usize,
-    /// Transitions examined.
-    pub transitions: usize,
+    /// The exploration's verdict and counts.  In full mode the 1-thread
+    /// run's outcome is also the main table's four-process tree row.
+    pub outcome: CheckOutcome,
     /// Deepest expanded BFS level.
     pub max_depth: usize,
     /// Replay-determinism digest — must be identical across the rows of one
@@ -310,9 +324,24 @@ pub struct ScalingRow {
     pub store_bytes: usize,
     /// Peak resident set of the *process* (`VmHWM`) after the run, in bytes;
     /// 0 where `/proc` is unavailable.  The kernel high-water mark is
-    /// monotone, so within one bench invocation later rows inherit the
+    /// monotone, so within one runner invocation later rows inherit the
     /// ceiling of earlier ones — it bounds, not measures, each row.
     pub peak_rss_bytes: usize,
+}
+
+impl ScalingRow {
+    /// What the exploration found — states, orbits, transitions, depth and
+    /// frontier digest — which must not depend on the thread count.
+    #[must_use]
+    pub fn exploration(&self) -> (usize, usize, usize, usize, u64) {
+        (
+            self.outcome.states,
+            self.outcome.canonical_states,
+            self.outcome.transitions,
+            self.max_depth,
+            self.frontier_digest,
+        )
+    }
 }
 
 /// Reads the process's peak resident set (`VmHWM`) in bytes (0 when
@@ -344,23 +373,19 @@ fn store_bytes_estimate(stride: usize, states: usize, canonical: usize) -> usize
 /// job — the complete 4-process tree with the paper invariants, the tree
 /// path invariant and orbit compression (~39.6 M states); quick mode runs
 /// the 2-process leaf placement of the same spec, which closes out in
-/// seconds.  The row's counts and digest must be identical across thread
-/// counts — `bench-json` asserts it.
+/// seconds.
+///
+/// # Panics
+/// Panics if the configuration violates an invariant or does not close out.
 #[must_use]
 pub fn scaling_row(quick: bool, threads: usize) -> ScalingRow {
-    let (spec, configuration, budget) = if quick {
-        (
-            TreeBakerySpec::new(2, 2).with_active_processes(&[0, 1]),
-            "tree 2-level, active [0, 1]".to_string(),
-            3_000_000,
-        )
+    let active: Option<&[usize]> = if quick { Some(&[0, 1]) } else { None };
+    let budget = if quick {
+        3_000_000
     } else {
-        (
-            TreeBakerySpec::new(2, 2),
-            "tree 2-level, all 4 (close-out)".to_string(),
-            TREE_CLOSEOUT_BUDGET,
-        )
+        TREE_CLOSEOUT_BUDGET
     };
+    let (spec, algorithm) = tree_spec(active);
     let stride = bakery_mc::StateCodec::new(&spec).words_per_state();
     let start = std::time::Instant::now();
     let report = ModelChecker::new(&spec)
@@ -378,12 +403,14 @@ pub fn scaling_row(quick: bool, threads: usize) -> ScalingRow {
     #[allow(clippy::cast_precision_loss)]
     let per_core = states_per_sec / threads as f64;
     ScalingRow {
-        configuration,
         threads,
         wall_s,
-        states: report.states,
-        canonical_states: report.canonical_states,
-        transitions: report.transitions,
+        outcome: outcome_from_report(
+            algorithm,
+            active.map_or(4, <[usize]>::len),
+            spec.bound(),
+            &report,
+        ),
         max_depth: report.max_depth,
         frontier_digest: report.frontier_digest,
         states_per_sec,
@@ -391,6 +418,71 @@ pub fn scaling_row(quick: bool, threads: usize) -> ScalingRow {
         store_bytes: store_bytes_estimate(stride, report.states, report.canonical_states),
         peak_rss_bytes: peak_rss_bytes(),
     }
+}
+
+/// The scaling configuration at 1, 2 and 4 worker threads.
+///
+/// # Panics
+/// Panics unless every row explored the same space: identical states,
+/// orbits, transitions, depth and frontier digest — the parallel explorer's
+/// determinism gate.
+#[must_use]
+pub fn scaling_rows(quick: bool) -> Vec<ScalingRow> {
+    let rows: Vec<ScalingRow> = [1, 2, 4].map(|threads| scaling_row(quick, threads)).into();
+    for row in &rows[1..] {
+        assert_eq!(
+            row.exploration(),
+            rows[0].exploration(),
+            "E2: exploration results must be thread-count invariant ({} threads vs 1)",
+            row.threads
+        );
+    }
+    rows
+}
+
+/// E2c: the scaling rows as a table.
+#[must_use]
+pub fn scaling_table(rows: &[ScalingRow]) -> Table {
+    let mut table = Table::new(
+        "E2c — parallel-explorer scaling: the tree close-out by worker-thread count",
+        &[
+            "configuration",
+            "threads",
+            "wall (s)",
+            "states",
+            "canonical orbits",
+            "transitions",
+            "max depth",
+            "frontier digest",
+            "states/s",
+            "states/s/core",
+            "store bytes (analytic)",
+            "peak RSS bytes",
+        ],
+    );
+    for row in rows {
+        table.push_row(vec![
+            row.outcome.algorithm.clone().into(),
+            row.threads.into(),
+            num(row.wall_s, 2),
+            row.outcome.states.into(),
+            row.outcome.canonical_states.into(),
+            row.outcome.transitions.into(),
+            row.max_depth.into(),
+            row.frontier_digest.into(),
+            num(row.states_per_sec, 0),
+            num(row.states_per_sec_per_core, 0),
+            row.store_bytes.into(),
+            row.peak_rss_bytes.into(),
+        ]);
+    }
+    table.push_note(
+        "Counts and digest are asserted identical across thread counts.  With fewer CPUs than \
+         threads (see `cpus`), the multi-thread rows measure oversubscription, not scaling; \
+         states/s/core at one thread is the work-efficiency figure.  Peak RSS is the \
+         process's high-water mark, so a later row inherits an earlier row's ceiling.",
+    );
+    table
 }
 
 #[cfg(test)]
@@ -415,7 +507,7 @@ mod tests {
     #[test]
     fn quick_table_has_all_algorithms() {
         let tables = run(true);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].len(), 8, "3 bounded configs x 2 + 2 tree rows");
         let md = tables[0].to_markdown();
         assert!(md.contains("bakery++"));
@@ -423,6 +515,24 @@ mod tests {
         assert!(md.contains("VIOLATED: NoOverflow"));
         assert_eq!(tables[1].len(), 2, "quick mode: the two n=2 semantics rows");
         assert!(tables[1].to_markdown().contains("atomic states"));
+        assert_eq!(
+            tables[2].len(),
+            3,
+            "quick mode: one scaling row per thread count"
+        );
+    }
+
+    #[test]
+    fn quick_scaling_rows_are_thread_count_invariant() {
+        let rows = scaling_rows(true);
+        let threads: Vec<usize> = rows.iter().map(|r| r.threads).collect();
+        assert_eq!(threads, [1, 2, 4]);
+        for row in &rows {
+            assert!(row.outcome.complete && row.outcome.violated.is_empty());
+            // States, orbits, transitions, depth and digest all agree.
+            assert_eq!(row.exploration(), rows[0].exploration());
+        }
+        assert!(rows[0].outcome.canonical_states < rows[0].outcome.states);
     }
 
     #[test]
@@ -437,7 +547,7 @@ mod tests {
     #[test]
     fn tree_two_process_placements_hold_exhaustively() {
         for active in [[0usize, 1], [0, 2]] {
-            let outcome = check_tree(Some(&active), 2_000_000);
+            let outcome = check_tree(&active, 2_000_000);
             assert!(outcome.violated.is_empty(), "active {active:?}");
             assert!(outcome.complete, "active {active:?} must close out");
             assert_eq!(outcome.bound, 3);

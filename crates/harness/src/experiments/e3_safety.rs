@@ -124,14 +124,14 @@ pub fn run(quick: bool) -> Vec<Table> {
             ),
         ] {
             table.push_row(vec![
-                outcome.algorithm.clone(),
-                outcome.variant.clone(),
-                outcome.states.to_string(),
-                if outcome.complete { "yes" } else { "no (bounded)" }.to_string(),
+                outcome.algorithm.clone().into(),
+                outcome.variant.clone().into(),
+                outcome.states.into(),
+                outcome.complete.into(),
                 if outcome.violated.is_empty() {
-                    "holds".to_string()
+                    "holds".into()
                 } else {
-                    format!("VIOLATED: {}", outcome.violated.join(", "))
+                    format!("VIOLATED: {}", outcome.violated.join(", ")).into()
                 },
             ]);
         }
@@ -146,7 +146,7 @@ pub fn run(quick: bool) -> Vec<Table> {
          M+1 overflow sentinel that approximates its *unbounded* ticket domain — which is \
          itself an illustration of the paper's point that finite registers change the game.  \
          The `weak_registers` exhaustive suite in `bakery-mc` is the definitive close-out of \
-         both algorithms under safe semantics.",
+         both algorithms under safe semantics.  `complete = no` marks a budget-bounded run.",
     );
     vec![table]
 }

@@ -19,7 +19,7 @@ use bakery_mc::liveness::starvation_report_where;
 use bakery_sim::{AdversarialScheduler, Algorithm, RunConfig, Simulator};
 use bakery_spec::{pc, BakeryPlusPlusSpec, BakerySpec};
 
-use crate::report::Table;
+use crate::report::{num, Table};
 
 /// Model-checking half: starvation-cycle existence per waiting position.
 ///
@@ -48,11 +48,8 @@ pub fn starvation_cycle_table(quick: bool) -> Table {
     table.push_row(vec![
         "bakery++ (N=3, M=2)".into(),
         "parked at L1 (before doorway)".into(),
-        at_l1.witness.is_some().to_string(),
-        at_l1
-            .witness
-            .as_ref()
-            .map_or_else(|| "-".into(), |w| w.cycle_length().to_string()),
+        at_l1.witness.is_some().into(),
+        at_l1.witness.as_ref().map(|w| w.cycle_length()).into(),
         at_l1.verdict().into(),
     ]);
 
@@ -70,11 +67,8 @@ pub fn starvation_cycle_table(quick: bool) -> Table {
     table.push_row(vec![
         "bakery++ (N=2, M=4)".into(),
         "holding a ticket < M".into(),
-        holder.witness.is_some().to_string(),
-        holder
-            .witness
-            .as_ref()
-            .map_or_else(|| "-".into(), |w| w.cycle_length().to_string()),
+        holder.witness.is_some().into(),
+        holder.witness.as_ref().map(|w| w.cycle_length()).into(),
         holder.verdict().into(),
     ]);
 
@@ -88,11 +82,12 @@ pub fn starvation_cycle_table(quick: bool) -> Table {
     table.push_row(vec![
         "bakery (N=2)".into(),
         "holding a ticket".into(),
-        classic_holder.witness.is_some().to_string(),
+        classic_holder.witness.is_some().into(),
         classic_holder
             .witness
             .as_ref()
-            .map_or_else(|| "-".into(), |w| w.cycle_length().to_string()),
+            .map(|w| w.cycle_length())
+            .into(),
         classic_holder.verdict().into(),
     ]);
 
@@ -133,10 +128,10 @@ pub fn slow_process_share_table(quick: bool) -> Table {
             100.0 * slow as f64 / (slow + fast) as f64
         };
         table.push_row(vec![
-            slowdown.to_string(),
-            slow.to_string(),
-            fast.to_string(),
-            format!("{share:.2}"),
+            slowdown.into(),
+            slow.into(),
+            fast.into(),
+            num(share, 2),
         ]);
     }
     table.push_note(
@@ -156,6 +151,7 @@ pub fn run(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bakery_json::Value;
 
     #[test]
     fn starvation_table_reports_the_l1_cycle() {
@@ -164,22 +160,22 @@ mod tests {
         let md = table.to_markdown();
         assert!(md.contains("parked at L1"));
         // The first row (L1) must say true, the holder rows false.
-        assert_eq!(table.rows[0][2], "true");
-        assert_eq!(table.rows[1][2], "false");
-        assert_eq!(table.rows[2][2], "false");
+        assert_eq!(table.rows[0][2], Value::Bool(true));
+        assert_eq!(table.rows[1][2], Value::Bool(false));
+        assert_eq!(table.rows[2][2], Value::Bool(false));
         // Verdicts: the finite Bakery++ space closes out (a proof), the
         // unbounded classic Bakery row is bounded evidence only.
-        assert_eq!(table.rows[0][4], "cycle found");
-        assert_eq!(table.rows[1][4], "no cycle (exhaustive)");
-        assert_eq!(table.rows[2][4], "no cycle (bounded)");
+        assert_eq!(table.rows[0][4], Value::from("cycle found"));
+        assert_eq!(table.rows[1][4], Value::from("no cycle (exhaustive)"));
+        assert_eq!(table.rows[2][4], Value::from("no cycle (bounded)"));
     }
 
     #[test]
     fn slow_process_share_decreases_with_slowdown() {
         let table = slow_process_share_table(true);
         assert_eq!(table.len(), 4);
-        let first: f64 = table.rows[0][3].parse().unwrap();
-        let last: f64 = table.rows[3][3].parse().unwrap();
+        let first = table.rows[0][3].as_f64().unwrap();
+        let last = table.rows[3][3].as_f64().unwrap();
         assert!(first > last, "share must shrink as the scheduler gets more unfair ({first} vs {last})");
     }
 }

@@ -12,17 +12,22 @@
 //!   Bakery++ with a large bound (no resets) and a tiny bound (constant
 //!   resets): the price of the guarantee;
 //! * **E6c** — per-acquisition protocol steps of the real locks measured via
-//!   the doorway/scan counters.
+//!   the doorway/scan counters;
+//! * **E6d** — uncontended acquire/release latency of the packed classic
+//!   Bakery and Bakery++ next to the all-`SeqCst` reference lock
+//!   (`bakery-seqcst`, the seed's one-atomic-per-register layout) at
+//!   N = 4/32/128: what the packed plane and the targeted fences buy.
 
 use std::sync::Arc;
 
-use bakery_baselines::{all_algorithms, LockFactory};
-use bakery_core::RawMutexAlgorithm;
+use bakery_baselines::{all_algorithms, LockFactory, SeqCstBakeryLock};
+use bakery_core::{BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, DEFAULT_PP_BOUND};
+use bakery_json::Value;
 use bakery_sim::{RandomScheduler, RunConfig, Simulator};
 use bakery_spec::{BakeryPlusPlusSpec, BakerySpec};
 
-use crate::report::Table;
-use crate::workload::{run_workload, Workload};
+use crate::report::{num, Table};
+use crate::workload::{measure_uncontended, run_workload, Workload};
 
 /// Shared-word counts per algorithm for a given process count.
 #[must_use]
@@ -35,14 +40,13 @@ pub fn spatial_table(process_counts: &[usize]) -> Table {
     let factory = LockFactory::new();
     let max_n = *process_counts.iter().max().unwrap_or(&2);
     for (id, _) in all_algorithms(max_n, &factory) {
-        let mut row = vec![id.name().to_string()];
+        let mut row = vec![id.name().into()];
         for &n in process_counts {
-            if id.supports(n) {
-                let lock = factory.build(id, n);
-                row.push(lock.shared_word_count().to_string());
-            } else {
-                row.push("-".into());
-            }
+            row.push(
+                id.supports(n)
+                    .then(|| factory.build(id, n).shared_word_count())
+                    .into(),
+            );
         }
         table.push_row(row);
     }
@@ -73,11 +77,11 @@ pub fn temporal_spec_table(quick: bool) -> Table {
     let entries = run.report.total_cs_entries().max(1);
     table.push_row(vec![
         "bakery".into(),
-        "unbounded".into(),
-        run.report.steps.to_string(),
-        entries.to_string(),
-        format!("{:.1}", run.report.steps as f64 / entries as f64),
-        "-".into(),
+        Value::Null,
+        run.report.steps.into(),
+        entries.into(),
+        num(run.report.steps as f64 / entries as f64, 1),
+        Value::Null,
     ]);
 
     for &bound in &[u64::from(u32::MAX), 8, 2] {
@@ -90,21 +94,18 @@ pub fn temporal_spec_table(quick: bool) -> Table {
         let entries = run.report.total_cs_entries().max(1);
         table.push_row(vec![
             "bakery++".into(),
-            if bound == u64::from(u32::MAX) {
-                "unbounded".into()
-            } else {
-                bound.to_string()
-            },
-            run.report.steps.to_string(),
-            entries.to_string(),
-            format!("{:.1}", run.report.steps as f64 / entries as f64),
-            run.report.overflow_avoidance_resets.to_string(),
+            (bound != u64::from(u32::MAX)).then_some(bound).into(),
+            run.report.steps.into(),
+            entries.into(),
+            num(run.report.steps as f64 / entries as f64, 1),
+            run.report.overflow_avoidance_resets.into(),
         ]);
     }
     table.push_note(
-        "With a large M, Bakery++ costs the same order of steps per entry as Bakery (the L1 \
-         scan adds a few local reads).  Only a pathologically small M makes the reset path \
-         visible — the paper's \"price of guaranteeing that no overflows ever occur\".",
+        "M is a dash where the registers are unbounded.  With a large M, Bakery++ costs the \
+         same order of steps per entry as Bakery (the L1 scan adds a few local reads).  Only \
+         a pathologically small M makes the reset path visible — the paper's \"price of \
+         guaranteeing that no overflows ever occur\".",
     );
     table
 }
@@ -123,6 +124,7 @@ pub fn temporal_lock_table(quick: bool) -> Table {
             "L1 waits per acquisition",
             "resets per acquisition",
             "fast-path hit rate",
+            "overflow attempts",
         ],
     );
     for (name, lock) in [
@@ -147,14 +149,18 @@ pub fn temporal_lock_table(quick: bool) -> Table {
         };
         let result = run_workload(Arc::clone(&lock), &workload);
         let stats = lock.stats().snapshot();
-        let acqs = result.total_acquisitions.max(1);
+        if name.starts_with("bakery++") {
+            assert_eq!(stats.overflow_attempts, 0, "{name} must never overflow");
+        }
+        let acqs = result.total_acquisitions.max(1) as f64;
         table.push_row(vec![
-            name.to_string(),
-            result.total_acquisitions.to_string(),
-            format!("{:.2}", stats.doorway_waits as f64 / acqs as f64),
-            format!("{:.2}", stats.l1_waits as f64 / acqs as f64),
-            format!("{:.3}", stats.resets as f64 / acqs as f64),
-            format!("{:.3}", stats.fast_path_hits as f64 / acqs as f64),
+            name.into(),
+            result.total_acquisitions.into(),
+            num(stats.doorway_waits as f64 / acqs, 2),
+            num(stats.l1_waits as f64 / acqs, 2),
+            num(stats.resets as f64 / acqs, 3),
+            num(stats.fast_path_hits as f64 / acqs, 3),
+            stats.overflow_attempts.into(),
         ]);
     }
     table.push_note(
@@ -165,13 +171,97 @@ pub fn temporal_lock_table(quick: bool) -> Table {
     table
 }
 
+/// Name of the all-`SeqCst` reference lock E6d and E7c time the packed locks
+/// against.
+pub const REFERENCE: &str = "bakery-seqcst";
+
+/// The locks E6d and E7c time at `n` processes, reference first: the
+/// all-`SeqCst` reference, then the packed classic Bakery and Bakery++.
+#[must_use]
+pub fn reference_and_packed(n: usize) -> [Arc<dyn RawMutexAlgorithm>; 3] {
+    [
+        Arc::new(SeqCstBakeryLock::new(n)),
+        Arc::new(BakeryLock::new(n)),
+        Arc::new(BakeryPlusPlusLock::with_bound(n, DEFAULT_PP_BOUND)),
+    ]
+}
+
+/// The lock's register bound `M`, or `None` when its registers are
+/// effectively unbounded (`u64`-wide, as the classic Bakery's default).
+#[must_use]
+pub fn finite_bound(lock: &dyn RawMutexAlgorithm) -> Option<u64> {
+    lock.register_bound().filter(|&m| m != u64::MAX)
+}
+
+/// E6d: uncontended acquire/release latency (median over samples), each
+/// packed lock next to the reference at the same N.
+///
+/// # Panics
+/// Panics if Bakery++ records an overflow attempt.
+#[must_use]
+pub fn reference_latency_table(quick: bool) -> Table {
+    let (iterations, samples) = if quick { (20_000, 5) } else { (100_000, 9) };
+    let mut table = Table::new(
+        "E6d — uncontended acquire/release latency: packed locks vs the all-SeqCst reference",
+        &[
+            "N",
+            "algorithm",
+            "M",
+            "ns / acquire (median)",
+            "latency cut vs reference (%)",
+            "fast-path hits",
+            "overflow attempts",
+        ],
+    );
+    for n in [4usize, 32, 128] {
+        let mut reference_ns = 0.0;
+        for lock in reference_and_packed(n) {
+            let name = lock.algorithm_name();
+            let ns = measure_uncontended(lock.as_ref(), iterations, samples);
+            let stats = lock.stats().snapshot();
+            if name == "bakery++" {
+                assert_eq!(
+                    stats.overflow_attempts, 0,
+                    "bakery++ must never overflow (N = {n})"
+                );
+            }
+            let cut = if name == REFERENCE {
+                reference_ns = ns;
+                Value::Null
+            } else {
+                num((reference_ns - ns) / reference_ns * 100.0, 1)
+            };
+            table.push_row(vec![
+                n.into(),
+                name.into(),
+                finite_bound(lock.as_ref()).into(),
+                num(ns, 1),
+                cut,
+                stats.fast_path_hits.into(),
+                stats.overflow_attempts.into(),
+            ]);
+        }
+    }
+    table.push_note(
+        "The reference keeps the seed's layout (one cache-padded SeqCst atomic per register, \
+         textbook scans); the packed locks read O(N/8) words and pay two targeted fences per \
+         doorway.  M is a dash for the unbounded classic Bakery and the reference.  Each figure \
+         is the median of per-sample means on slot 0 of a fresh lock.",
+    );
+    table
+}
+
 /// Runs E6 and renders its tables.
 #[must_use]
 pub fn run(quick: bool) -> Vec<Table> {
+    // The latency table is measured first, on a process no other table has
+    // warmed or contended yet, and shown last.
+    let latency = reference_latency_table(quick);
     vec![
         spatial_table(&[2, 4, 8, 16, 32]),
         temporal_spec_table(quick),
         temporal_lock_table(quick),
+        latency,
     ]
 }
 
@@ -182,20 +272,30 @@ mod tests {
     #[test]
     fn spatial_table_shows_equal_footprint_for_bakery_and_pp() {
         let table = spatial_table(&[2, 8]);
-        let bakery: Vec<&Vec<String>> = table.rows.iter().filter(|r| r[0] == "bakery").collect();
-        let pp: Vec<&Vec<String>> = table.rows.iter().filter(|r| r[0] == "bakery++").collect();
+        let named = |name: &str| -> Vec<&Vec<Value>> {
+            table
+                .rows
+                .iter()
+                .filter(|r| r[0] == Value::from(name))
+                .collect()
+        };
+        let (bakery, pp) = (named("bakery"), named("bakery++"));
         assert_eq!(bakery.len(), 1);
         assert_eq!(pp.len(), 1);
         assert_eq!(bakery[0][1..], pp[0][1..], "identical shared footprint");
-        assert_eq!(bakery[0][1], "4");
-        assert_eq!(bakery[0][2], "16");
+        assert_eq!(bakery[0][1], Value::Int(4));
+        assert_eq!(bakery[0][2], Value::Int(16));
     }
 
     #[test]
     fn spatial_footprint_scales_linearly() {
         let table = spatial_table(&[2, 4, 8]);
-        let row = table.rows.iter().find(|r| r[0] == "bakery++").unwrap();
-        let values: Vec<u64> = row[1..].iter().map(|c| c.parse().unwrap()).collect();
+        let row = table
+            .rows
+            .iter()
+            .find(|r| r[0] == Value::from("bakery++"))
+            .unwrap();
+        let values: Vec<i128> = row[1..].iter().map(|c| c.as_i128().unwrap()).collect();
         assert_eq!(values, vec![4, 8, 16]);
     }
 
@@ -203,8 +303,8 @@ mod tests {
     fn temporal_spec_table_reports_comparable_costs() {
         let table = temporal_spec_table(true);
         assert_eq!(table.len(), 4);
-        let classic: f64 = table.rows[0][4].parse().unwrap();
-        let pp_large: f64 = table.rows[1][4].parse().unwrap();
+        let classic = table.rows[0][4].as_f64().unwrap();
+        let pp_large = table.rows[1][4].as_f64().unwrap();
         assert!(classic > 0.0 && pp_large > 0.0);
         assert!(
             pp_large / classic < 3.0,
@@ -217,5 +317,24 @@ mod tests {
     fn temporal_lock_table_shape() {
         let table = temporal_lock_table(true);
         assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn reference_latency_table_pairs_each_packed_lock_with_the_reference() {
+        let table = reference_latency_table(true);
+        assert_eq!(table.len(), 9, "three locks at N = 4/32/128");
+        for group in table.rows.chunks(3) {
+            assert_eq!(group[0][1], Value::from(REFERENCE));
+            assert_eq!(
+                group[0][4],
+                Value::Null,
+                "the reference has no cut vs itself"
+            );
+            for row in group {
+                assert!(row[3].as_f64().unwrap() > 0.0);
+                assert_eq!(row[6], Value::Int(0), "no lock overflows uncontended");
+            }
+            assert!(group[1][4].as_f64().is_some() && group[2][4].as_f64().is_some());
+        }
     }
 }

@@ -5,17 +5,16 @@
 //! a shared resource").  This experiment quantifies it: every algorithm in the
 //! suite is run as a real lock on real threads across a range of thread
 //! counts, reporting throughput, tail latency and the overflow counters that
-//! distinguish Bakery from Bakery++.
-
-use std::sync::Arc;
+//! distinguish Bakery from Bakery++.  **E7c** pits the packed classic Bakery
+//! and Bakery++ against the all-`SeqCst` reference in paired repetitions.
+//! (Tree placement regimes are E10c's shared-leaf and spread rows.)
 
 use bakery_baselines::{all_algorithms, AlgorithmId, LockFactory};
-use bakery_core::{RawMutexAlgorithm, TreeBakery};
 
-use crate::report::Table;
-use crate::workload::{
-    run_workload, run_workload_placed, spread_placement, Workload, WorkloadResult,
-};
+use super::e6_complexity::{finite_bound, reference_and_packed, REFERENCE};
+use super::{median, paired_gain_pct};
+use crate::report::{num, Table};
+use crate::workload::{run_workload, Workload, WorkloadResult};
 
 /// Runs the standard closed-loop workload for one algorithm at one thread
 /// count.
@@ -32,58 +31,6 @@ pub fn measure(id: AlgorithmId, threads: usize, quick: bool) -> Option<WorkloadR
         Workload::standard(threads)
     };
     Some(run_workload(lock, &workload))
-}
-
-/// E7b: tree placement regimes at large capacity — the same live threads
-/// packed into one shared leaf vs spread across distinct subtrees, so the
-/// throughput table captures the root-contention regime and not only the
-/// shared-leaf one.
-#[must_use]
-pub fn placement_table(quick: bool) -> Table {
-    let n = 512;
-    let threads = 4;
-    let workload = if quick {
-        Workload::quick(threads)
-    } else {
-        Workload::standard(threads)
-    };
-    let mut table = Table::new(
-        format!("E7b — tree placement regimes, {threads} live threads on N = {n} slots"),
-        &[
-            "placement",
-            "acquisitions/s",
-            "p99 latency (ns)",
-            "leaf doorway waits",
-            "root doorway waits",
-        ],
-    );
-    for (regime, placement) in [
-        ("shared leaf (lowest slots)", None),
-        ("spread subtrees (strided slots)", Some(spread_placement(n, threads))),
-    ] {
-        let tree = Arc::new(TreeBakery::new(n));
-        let result = run_workload_placed(
-            Arc::clone(&tree) as Arc<dyn RawMutexAlgorithm>,
-            &workload,
-            placement.as_deref(),
-        );
-        let leaf_waits = tree.level_snapshot(0).doorway_waits;
-        let root_waits = tree.level_snapshot(tree.depth() - 1).doorway_waits;
-        table.push_row(vec![
-            regime.to_string(),
-            format!("{:.0}", result.throughput()),
-            result.latency.quantile_ns(0.99).to_string(),
-            leaf_waits.to_string(),
-            root_waits.to_string(),
-        ]);
-        assert_eq!(tree.aggregate_snapshot().overflow_attempts, 0);
-    }
-    table.push_note(
-        "Spreading the live threads across distinct top-level subtrees moves the conflict from \
-         one leaf node to the root — each thread climbs a private path and the tournament is \
-         decided last, which is the regime a session plane with scattered pid leases produces.",
-    );
-    table
 }
 
 /// Runs E7 and renders its tables.
@@ -115,15 +62,23 @@ pub fn run(quick: bool) -> Vec<Table> {
             let Some(result) = measure(id, threads, quick) else {
                 continue;
             };
+            if never_overflows(id) {
+                assert_eq!(
+                    result.overflow_attempts,
+                    0,
+                    "{} must never overflow",
+                    id.name()
+                );
+            }
             table.push_row(vec![
-                id.name().to_string(),
-                format!("{:.0}", result.throughput()),
-                result.latency.quantile_ns(0.5).to_string(),
-                result.latency.quantile_ns(0.99).to_string(),
-                format!("{:.2}", result.fairness_ratio()),
-                result.max_ticket.to_string(),
-                result.overflow_attempts.to_string(),
-                result.fast_path_hits.to_string(),
+                id.name().into(),
+                num(result.throughput(), 0),
+                result.latency.quantile_ns(0.5).into(),
+                result.latency.quantile_ns(0.99).into(),
+                num(result.fairness_ratio(), 2),
+                result.max_ticket.into(),
+                result.overflow_attempts.into(),
+                result.fast_path_hits.into(),
             ]);
         }
         table.push_note(
@@ -133,8 +88,91 @@ pub fn run(quick: bool) -> Vec<Table> {
         );
         tables.push(table);
     }
-    tables.push(placement_table(quick));
+    tables.push(reference_throughput_table(quick));
     tables
+}
+
+/// The bounded bakeries whose overflow counters every E7 table gates at 0.
+fn never_overflows(id: AlgorithmId) -> bool {
+    matches!(
+        id,
+        AlgorithmId::BakeryPlusPlus | AlgorithmId::TreeBakery | AlgorithmId::AdaptiveBakery
+    )
+}
+
+/// E7c: the packed classic Bakery and Bakery++ against the all-`SeqCst`
+/// reference at 2 and 4 threads.  Paired design: every repetition runs the
+/// three locks back to back on fresh instances, and each gain is the median
+/// of the per-repetition ratios to the reference.  On a machine with fewer
+/// CPUs than workers whole runs drift between a fast serial-burst regime
+/// and a slow context-switch-bound one, which pairing cancels.
+///
+/// # Panics
+/// Panics if Bakery++ records an overflow attempt in any repetition.
+#[must_use]
+pub fn reference_throughput_table(quick: bool) -> Table {
+    let repetitions = if quick { 7 } else { 21 };
+    let mut table = Table::new(
+        format!("E7c — paired throughput vs the all-SeqCst reference ({repetitions} repetitions)"),
+        &[
+            "threads",
+            "algorithm",
+            "M",
+            "acquisitions/s (median)",
+            "gain vs reference (%, median of paired ratios)",
+            "p99 latency (ns, median)",
+            "fairness ratio (median)",
+            "fast-path hits (median)",
+            "overflow attempts (all repetitions)",
+        ],
+    );
+    for threads in [2usize, 4] {
+        let workload = Workload {
+            threads,
+            iterations_per_thread: if quick { 1_000 } else { 4_000 },
+            critical_section_work: 16,
+            think_work: 16,
+        };
+        // Per lock slot: one result per repetition.
+        let mut runs: [Vec<WorkloadResult>; 3] = Default::default();
+        let mut bounds = [None; 3];
+        for _ in 0..repetitions {
+            for (slot, lock) in reference_and_packed(threads).into_iter().enumerate() {
+                bounds[slot] = finite_bound(lock.as_ref());
+                runs[slot].push(run_workload(lock, &workload));
+            }
+        }
+        for (slot, results) in runs.iter().enumerate() {
+            let name = results[0].algorithm.as_str();
+            let overflows: u64 = results.iter().map(|r| r.overflow_attempts).sum();
+            if name == "bakery++" {
+                assert_eq!(
+                    overflows, 0,
+                    "bakery++ must never overflow ({threads} threads)"
+                );
+            }
+            let gain = (name != REFERENCE).then(|| num(paired_gain_pct(results, &runs[0]), 1));
+            let stat = |f: fn(&WorkloadResult) -> f64| median(results.iter().map(f).collect());
+            table.push_row(vec![
+                threads.into(),
+                name.into(),
+                bounds[slot].into(),
+                num(stat(WorkloadResult::throughput), 0),
+                gain.into(),
+                num(stat(|r| r.latency.quantile_ns(0.99) as f64), 0),
+                num(stat(WorkloadResult::fairness_ratio), 2),
+                num(stat(|r| r.fast_path_hits as f64), 0),
+                overflows.into(),
+            ]);
+        }
+    }
+    table.push_note(
+        "Every lock runs the same closed loop (16 units of CS and think work) on fresh \
+         instances, reference first in each repetition.  M is a dash for the unbounded \
+         classic Bakery and the reference.  With fewer CPUs than threads (see `cpus`), the \
+         figures measure the scheduler as much as the lock.",
+    );
+    table
 }
 
 #[cfg(test)]
@@ -150,27 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn quick_run_produces_one_table_per_thread_count_plus_placement() {
+    fn quick_run_produces_one_table_per_thread_count_plus_reference() {
         let tables = run(true);
-        assert_eq!(tables.len(), 4, "three thread counts + the placement table");
+        assert_eq!(tables.len(), 4, "three thread counts + the reference table");
         for table in &tables[..3] {
             assert!(table.len() >= 10, "every supported algorithm appears");
         }
-        assert_eq!(tables[3].len(), 2, "both placement regimes");
-    }
-
-    #[test]
-    fn placement_regimes_shift_contention_toward_the_root() {
-        let table = placement_table(true);
-        let shared_leaf_waits: u64 = table.rows[0][3].parse().unwrap();
-        let spread_leaf_waits: u64 = table.rows[1][3].parse().unwrap();
-        // In the spread regime no two threads share a leaf, so leaf-level
-        // waiting must not exceed the shared-leaf regime's (root waits move
-        // the other way, but on a 1-CPU runner they can both be near zero,
-        // so only the leaf side is asserted).
-        assert!(
-            spread_leaf_waits <= shared_leaf_waits || shared_leaf_waits == 0,
-            "spread {spread_leaf_waits} vs shared {shared_leaf_waits}"
-        );
+        assert_eq!(tables[3].len(), 6, "three locks at 2 and 4 threads");
     }
 }

@@ -16,7 +16,7 @@ use bakery_sim::trace::refinement::count_fifo_inversions;
 use bakery_sim::{Algorithm, RandomScheduler, RunConfig, Simulator};
 use bakery_spec::{BakeryPlusPlusSpec, BakerySpec, PetersonSpec, TicketSpec};
 
-use crate::report::Table;
+use crate::report::{num, Table};
 use crate::workload::{run_workload, Workload};
 
 fn spec_inversions<A: Algorithm>(spec: &A, schedules: u64, steps: u64) -> (u64, u64) {
@@ -41,40 +41,27 @@ pub fn inversion_table(quick: bool) -> Table {
         "E8a — FIFO inversions on observable traces (doorway order vs service order)",
         &["algorithm", "schedules", "CS entries", "FIFO inversions"],
     );
-    let bakery = BakerySpec::new(3, u64::from(u32::MAX));
-    let (inv, ent) = spec_inversions(&bakery, schedules, steps);
-    table.push_row(vec!["bakery".into(), schedules.to_string(), ent.to_string(), inv.to_string()]);
-
-    let pp = BakeryPlusPlusSpec::new(3, 1_000);
-    let (inv, ent) = spec_inversions(&pp, schedules, steps);
-    table.push_row(vec!["bakery++".into(), schedules.to_string(), ent.to_string(), inv.to_string()]);
-
-    let pp_tiny = BakeryPlusPlusSpec::new(3, 3);
-    let (inv, ent) = spec_inversions(&pp_tiny, schedules, steps);
-    table.push_row(vec![
-        "bakery++ (M=3)".into(),
-        schedules.to_string(),
-        ent.to_string(),
-        inv.to_string(),
-    ]);
-
+    let mut push = |name: &str, (inv, ent): (u64, u64)| {
+        table.push_row(vec![name.into(), schedules.into(), ent.into(), inv.into()]);
+    };
+    push(
+        "bakery",
+        spec_inversions(&BakerySpec::new(3, u64::from(u32::MAX)), schedules, steps),
+    );
+    push(
+        "bakery++",
+        spec_inversions(&BakeryPlusPlusSpec::new(3, 1_000), schedules, steps),
+    );
+    push(
+        "bakery++ (M=3)",
+        spec_inversions(&BakeryPlusPlusSpec::new(3, 3), schedules, steps),
+    );
     let ticket = TicketSpec::new(3, u64::from(u32::MAX));
-    let (inv, ent) = spec_inversions(&ticket, schedules, steps);
-    table.push_row(vec![
-        "ticket-lock".into(),
-        schedules.to_string(),
-        ent.to_string(),
-        inv.to_string(),
-    ]);
-
-    let peterson = PetersonSpec::new();
-    let (inv, ent) = spec_inversions(&peterson, schedules, steps);
-    table.push_row(vec![
-        "peterson".into(),
-        schedules.to_string(),
-        ent.to_string(),
-        inv.to_string(),
-    ]);
+    push("ticket-lock", spec_inversions(&ticket, schedules, steps));
+    push(
+        "peterson",
+        spec_inversions(&PetersonSpec::new(), schedules, steps),
+    );
 
     table.push_note(
         "Bakery, Bakery++ and the ticket lock serve strictly in doorway order (0 inversions).  \
@@ -104,11 +91,11 @@ pub fn spread_table(quick: bool) -> Table {
         let min = result.per_thread.iter().copied().min().unwrap_or(0);
         let max = result.per_thread.iter().copied().max().unwrap_or(0);
         table.push_row(vec![
-            id.name().to_string(),
-            result.total_acquisitions.to_string(),
-            min.to_string(),
-            max.to_string(),
-            format!("{:.2}", result.fairness_ratio()),
+            id.name().into(),
+            result.total_acquisitions.into(),
+            min.into(),
+            max.into(),
+            num(result.fairness_ratio(), 2),
         ]);
     }
     table.push_note(
@@ -133,8 +120,9 @@ mod tests {
     fn fcfs_algorithms_have_zero_inversions() {
         let table = inversion_table(true);
         for row in &table.rows {
-            if row[0].starts_with("bakery") || row[0] == "ticket-lock" {
-                assert_eq!(row[3], "0", "{} must be FCFS", row[0]);
+            let name = row[0].as_str().unwrap();
+            if name.starts_with("bakery") || name == "ticket-lock" {
+                assert_eq!(row[3].as_i128(), Some(0), "{name} must be FCFS");
             }
         }
     }

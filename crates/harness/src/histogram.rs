@@ -1,18 +1,23 @@
-//! A fixed-bucket logarithmic latency histogram.
+//! A fixed-bucket log-linear latency histogram.
 //!
-//! Latency samples (nanoseconds) are binned into power-of-two buckets so the
-//! histogram has a constant memory footprint and can be merged across threads
-//! without allocation.  Percentile queries return the upper bound of the
-//! bucket containing the requested rank, which is accurate enough for the
-//! order-of-magnitude comparisons experiment **E7** reports.
+//! Latency samples (nanoseconds) are binned into 16 linear sub-buckets per
+//! power of two, so the histogram has a constant memory footprint and can be
+//! merged across threads without allocation.  Percentile queries return the
+//! upper edge of the bucket containing the requested rank, clamped to the
+//! largest sample: at most 1/16 (6.25 %) above the true quantile, and never
+//! above the maximum.
 
-/// Number of power-of-two buckets (covers 1 ns … ~2^63 ns).
-const BUCKETS: usize = 64;
+/// Linear sub-buckets per power of two (`2^SUB_BITS`).
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
+/// Buckets needed to cover every `u64` value: values below `SUB` get one
+/// bucket each, every larger power of two gets `SUB`.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
 
-/// A log₂-bucketed histogram of nanosecond latencies.
+/// A log-linear histogram of nanosecond latencies.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
+    counts: Vec<u64>,
     total: u64,
     sum_ns: u128,
     max_ns: u64,
@@ -24,25 +29,44 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// Bucket of `ns`: exact below `SUB`, otherwise the sub-bucket of its power
+/// of two.
+fn bucket(ns: u64) -> usize {
+    if ns < SUB as u64 {
+        return ns as usize;
+    }
+    let exp = 63 - ns.leading_zeros();
+    let sub = (ns >> (exp - SUB_BITS)) as usize & (SUB - 1);
+    (exp - SUB_BITS + 1) as usize * SUB + sub
+}
+
+/// Largest value that lands in bucket `i`.
+fn upper_edge(i: usize) -> u64 {
+    if i < SUB {
+        return i as u64;
+    }
+    let shift = (i / SUB - 1) as u32;
+    let low = ((SUB + i % SUB) as u64) << shift;
+    low + ((1u64 << shift) - 1)
+}
+
 impl LatencyHistogram {
     /// Creates an empty histogram.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            counts: [0; BUCKETS],
+            counts: vec![0; BUCKETS],
             total: 0,
             sum_ns: 0,
             max_ns: 0,
         }
     }
 
-    fn bucket(ns: u64) -> usize {
-        (64 - ns.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1)
-    }
-
-    /// Records one latency sample.
+    /// Records one latency sample.  A sample below the clock's 1-ns
+    /// resolution counts as 1 ns.
     pub fn record(&mut self, ns: u64) {
-        self.counts[Self::bucket(ns)] += 1;
+        let ns = ns.max(1);
+        self.counts[bucket(ns)] += 1;
         self.total += 1;
         self.sum_ns += u128::from(ns);
         self.max_ns = self.max_ns.max(ns);
@@ -70,7 +94,8 @@ impl LatencyHistogram {
         self.max_ns
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile (`0.0..=1.0`).
+    /// Upper edge of the bucket containing the `q`-quantile (`0.0..=1.0`),
+    /// clamped to the largest sample (0 when empty).
     #[must_use]
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -79,12 +104,10 @@ impl LatencyHistogram {
         let q = q.clamp(0.0, 1.0);
         let target = ((self.total as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (bucket, &count) in self.counts.iter().enumerate() {
+        for (i, &count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= target {
-                return 1u64
-                    .checked_shl(bucket as u32 + 1)
-                    .map_or(u64::MAX, |v| v - 1);
+                return upper_edge(i).min(self.max_ns);
             }
         }
         self.max_ns
@@ -149,6 +172,48 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.max_ns(), 2000);
+    }
+
+    #[test]
+    fn buckets_tile_the_value_range() {
+        for i in 0..BUCKETS - 1 {
+            assert_eq!(bucket(upper_edge(i)), i);
+            assert_eq!(
+                bucket(upper_edge(i) + 1),
+                i + 1,
+                "bucket {i} abuts the next"
+            );
+        }
+        for ns in [1u64, 15, 16, 17, 31, 32, 300, 1_000, 123_456_789, u64::MAX] {
+            let i = bucket(ns);
+            assert!(ns <= upper_edge(i), "{ns}");
+            assert!(i == 0 || ns > upper_edge(i - 1), "{ns}");
+        }
+        assert_eq!(upper_edge(BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn quantile_never_exceeds_the_max() {
+        let mut h = LatencyHistogram::new();
+        for ns in [300u64, 9_889_000, 1_000, 16_777_215] {
+            h.record(ns);
+        }
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert!(h.quantile_ns(q) <= h.max_ns(), "q={q}");
+        }
+        let mut single = LatencyHistogram::new();
+        single.record(9_889_000);
+        assert_eq!(single.quantile_ns(0.99), 9_889_000);
+    }
+
+    #[test]
+    fn p50_of_constant_samples_is_within_a_sixteenth() {
+        let mut h = LatencyHistogram::new();
+        for _ in 0..1_000 {
+            h.record(300);
+        }
+        let p50 = h.quantile_ns(0.5) as f64;
+        assert!((p50 - 300.0).abs() <= 300.0 / 16.0, "p50 {p50}");
     }
 
     #[test]

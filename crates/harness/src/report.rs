@@ -1,18 +1,56 @@
-//! Plain-text / Markdown tables and JSON export for experiment results.
+//! Experiment tables, their Markdown rendering, and the one writer of every
+//! `BENCH_<id>.json`.
+//!
+//! A [`Table`] cell is a typed [`Value`]: a count is an integer, a rate or a
+//! latency a float rounded to the precision it is printed with ([`num`]), a
+//! verdict or a name a string, and "not applicable" is `null`.  The same
+//! cells render as Markdown for the terminal and serialise unchanged into
+//! the experiment's [`Record`], so the two views cannot drift apart.
 
-use std::fmt;
+use std::path::{Path, PathBuf};
 
-/// One result table: a title, a header row and data rows.
+use bakery_json::{ToJson, Value};
+
+/// Schema string of every `BENCH_<id>.json` the runner writes.
+pub const SCHEMA: &str = "bakery-experiments/v1";
+
+/// One result table: a title, a header row and data rows of typed cells.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table title (e.g. "E1 — ticket growth and overflow").
     pub title: String,
-    /// Column headers.
+    /// Column headers (units go in the header, never in a cell).
     pub headers: Vec<String>,
-    /// Data rows (already formatted as strings).
-    pub rows: Vec<Vec<String>>,
+    /// Data rows.
+    pub rows: Vec<Vec<Value>>,
     /// Free-form notes displayed under the table.
     pub notes: Vec<String>,
+}
+
+bakery_json::json_object!(Table {
+    title,
+    headers,
+    rows,
+    notes
+});
+
+/// A float cell rounded to `decimals` places, so the JSON carries exactly the
+/// figure the Markdown shows.
+#[must_use]
+pub fn num(value: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    Value::Float((value * scale).round() / scale)
+}
+
+/// Renders one cell for Markdown: strings verbatim, numbers as JSON prints
+/// them, booleans as yes/no and `null` as a dash.
+fn render(cell: &Value) -> String {
+    match cell {
+        Value::Str(text) => text.clone(),
+        Value::Null => "-".to_string(),
+        Value::Bool(flag) => if *flag { "yes" } else { "no" }.to_string(),
+        other => other.to_compact_string(),
+    }
 }
 
 impl Table {
@@ -31,7 +69,7 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the row length does not match the header length.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub fn push_row(&mut self, row: Vec<Value>) {
         assert_eq!(
             row.len(),
             self.headers.len(),
@@ -60,10 +98,15 @@ impl Table {
     /// Renders the table as GitHub-flavoured Markdown.
     #[must_use]
     pub fn to_markdown(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(render).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
+        for row in &rows {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
         let mut out = format!("### {}\n\n", self.title);
@@ -78,7 +121,7 @@ impl Table {
         out.push_str(&render_row(&self.headers));
         let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
         out.push_str(&format!("| {} |\n", dashes.join(" | ")));
-        for row in &self.rows {
+        for row in &rows {
             out.push_str(&render_row(row));
         }
         for note in &self.notes {
@@ -88,54 +131,72 @@ impl Table {
     }
 }
 
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_markdown())
-    }
-}
-
-/// A collection of tables produced by one experiment run.
-#[derive(Debug, Clone, Default)]
-pub struct Report {
+/// One experiment's run: its tables plus the context needed to read them.
+/// This is the envelope of its `BENCH_<id>.json`.
+#[derive(Debug, Clone)]
+pub struct Record {
+    /// Experiment id as the runner prints it (`"E2"`).
+    pub experiment: String,
+    /// One-line description of the paper claim the experiment regenerates.
+    pub description: String,
+    /// Whether the run used the CI-sized (`--quick`) configuration.
+    pub quick: bool,
+    /// Logical CPUs available during the run.  With fewer CPUs than worker
+    /// threads, contended figures measure the scheduler as much as the lock.
+    pub cpus: usize,
     /// Tables in presentation order.
     pub tables: Vec<Table>,
 }
 
-bakery_json::json_object!(Table { title, headers, rows, notes });
-bakery_json::json_object!(Report { tables });
+impl ToJson for Record {
+    fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("schema".to_string(), SCHEMA.into()),
+            ("experiment".to_string(), self.experiment.to_json()),
+            ("description".to_string(), self.description.to_json()),
+            ("quick".to_string(), self.quick.into()),
+            ("cpus".to_string(), self.cpus.into()),
+            ("tables".to_string(), self.tables.to_json()),
+        ])
+    }
+}
+
+/// The records of one runner invocation, in run order.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// One record per experiment run.
+    pub records: Vec<Record>,
+}
 
 impl Report {
-    /// Creates an empty report.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a table.
-    pub fn push(&mut self, table: Table) {
-        self.tables.push(table);
-    }
-
     /// Renders every table as Markdown separated by blank lines.
     #[must_use]
     pub fn to_markdown(&self) -> String {
-        self.tables
+        self.records
             .iter()
+            .flat_map(|record| &record.tables)
             .map(Table::to_markdown)
             .collect::<Vec<_>>()
             .join("\n")
     }
 
-    /// Serialises the report as pretty-printed JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        bakery_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
-}
-
-impl fmt::Display for Report {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_markdown())
+    /// Writes each record as pretty-printed `BENCH_<id>.json` (id in lower
+    /// case) under `dir`, created if missing, and returns the paths written,
+    /// in run order.
+    ///
+    /// # Errors
+    /// Returns the first I/O error from creating `dir` or writing a file.
+    pub fn write_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+        std::fs::create_dir_all(dir)?;
+        self.records
+            .iter()
+            .map(|record| {
+                let name = format!("BENCH_{}.json", record.experiment.to_ascii_lowercase());
+                let path = dir.join(name);
+                std::fs::write(&path, record.to_json().to_pretty_string() + "\n")?;
+                Ok(path)
+            })
+            .collect()
     }
 }
 
@@ -146,8 +207,8 @@ mod tests {
     #[test]
     fn table_renders_markdown_with_alignment() {
         let mut t = Table::new("Demo", &["algorithm", "value"]);
-        t.push_row(vec!["bakery".into(), "1".into()]);
-        t.push_row(vec!["bakery++".into(), "22".into()]);
+        t.push_row(vec!["bakery".into(), 1u64.into()]);
+        t.push_row(vec!["bakery++".into(), 22u64.into()]);
         t.push_note("a note");
         let md = t.to_markdown();
         assert!(md.contains("### Demo"));
@@ -159,6 +220,15 @@ mod tests {
     }
 
     #[test]
+    fn cells_render_by_type() {
+        let mut t = Table::new("Types", &["f", "b", "n"]);
+        t.push_row(vec![num(2.0 / 3.0, 2), true.into(), Value::Null]);
+        let md = t.to_markdown();
+        assert!(md.contains("| 0.67 | yes | - |"), "{md}");
+        assert_eq!(num(1234.5678, 0), Value::Float(1235.0));
+    }
+
+    #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_width_is_rejected() {
         let mut t = Table::new("Demo", &["a", "b"]);
@@ -166,16 +236,25 @@ mod tests {
     }
 
     #[test]
-    fn report_combines_tables_and_exports_json() {
-        let mut report = Report::new();
-        let mut t = Table::new("T1", &["x"]);
-        t.push_row(vec!["1".into()]);
-        report.push(t);
-        report.push(Table::new("T2", &["y"]));
+    fn report_combines_tables_and_names_files_by_lower_case_id() {
+        let record = |experiment: &str, title: &str| Record {
+            experiment: experiment.into(),
+            description: "demo".into(),
+            quick: true,
+            cpus: 1,
+            tables: vec![Table::new(title, &["x"])],
+        };
+        let report = Report {
+            records: vec![record("E1", "T1"), record("E10", "T2")],
+        };
         let md = report.to_markdown();
-        assert!(md.contains("### T1"));
-        assert!(md.contains("### T2"));
-        let json = report.to_json();
-        assert!(json.contains("\"title\": \"T1\""));
+        assert!(md.contains("### T1") && md.contains("### T2"));
+        let dir = std::env::temp_dir().join(format!("bakery-report-{}", std::process::id()));
+        let written = report.write_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            written,
+            [dir.join("BENCH_e1.json"), dir.join("BENCH_e10.json")]
+        );
     }
 }

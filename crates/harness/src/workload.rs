@@ -118,8 +118,8 @@ impl WorkloadResult {
 }
 
 /// Median nanoseconds per uncontended acquire/release on slot 0, after a
-/// warm-up quarter.  Shared by the `bench-json` perf baseline and experiment
-/// **E10** so the two sweeps can never drift apart.
+/// warm-up quarter.  Shared by experiments **E6** (the reference-vs-packed
+/// table) and **E10** (the large-N sweep) so the two can never drift apart.
 ///
 /// # Panics
 /// Panics if slot 0 of `lock` is already claimed.

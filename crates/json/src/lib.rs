@@ -1,8 +1,8 @@
 //! # bakery-json
 //!
 //! A small, zero-dependency JSON layer shared by the whole suite: the
-//! simulator's trace/state/metrics exports, the model checker's reports, the
-//! harness's experiment tables and the `bench-json` perf baseline all go
+//! simulator's trace/state/metrics exports, the model checker's reports and
+//! the harness's experiment tables (every committed `BENCH_*.json`) all go
 //! through this crate.  It replaces the serde/serde_json dependency the
 //! modules were originally written against (the build environment is
 //! offline), and gives the suite one place that owns its wire format.
@@ -632,6 +632,26 @@ impl FromJson for Value {
     }
 }
 
+macro_rules! impl_value_from {
+    ($($ty:ty),*) => {
+        $(
+            impl From<$ty> for Value {
+                fn from(value: $ty) -> Self {
+                    value.to_json()
+                }
+            }
+        )*
+    };
+}
+impl_value_from!(u8, u16, u32, u64, usize, i8, i16, i32, i64, f64, bool, String, &str);
+
+/// `None` becomes `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Value::Null, Into::into)
+    }
+}
+
 /// Implements [`ToJson`] and [`FromJson`] for a plain struct from its field
 /// list.  Fields in the optional `skip { ... }` section are excluded from the
 /// wire format and restored with `Default::default()` when parsing.
@@ -765,6 +785,16 @@ mod tests {
         assert_eq!(back.name, "demo");
         assert_eq!(back.owner, Some(4));
         assert!(back.scratch.is_empty(), "skipped fields default");
+    }
+
+    #[test]
+    fn values_convert_from_primitives() {
+        assert_eq!(Value::from(7u64), Value::Int(7));
+        assert_eq!(Value::from(-2i32), Value::Int(-2));
+        assert_eq!(Value::from(0.5), Value::Float(0.5));
+        assert_eq!(Value::from("x"), Value::Str("x".into()));
+        assert_eq!(Value::from(None::<u64>), Value::Null);
+        assert_eq!(Value::from(Some(true)), Value::Bool(true));
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn is_test_path(rel: &str) -> bool {
     rel.split('/').any(|part| part == "tests" || part == "examples" || part == "benches")
 }
 
-/// Scans every `.rs` file under `root` (excluding [`SKIP_DIRS`]), returning
+/// Scans every `.rs` file under `root` (excluding `SKIP_DIRS`), returning
 /// scans sorted by relative path.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<FileScan>> {
     let mut files = Vec::new();

@@ -45,7 +45,7 @@ const INLINE_WORDS: usize = 3;
 /// A packed state: the unit the visited set stores, hashes and compares.
 #[derive(Debug, Clone)]
 pub enum StateCode {
-    /// At most [`INLINE_WORDS`] words, stored without heap allocation.
+    /// At most `INLINE_WORDS` words, stored without heap allocation.
     Inline {
         /// Number of words in use.
         len: u8,

@@ -12,7 +12,7 @@
 //! * [`sim`] — the step-machine simulator (schedulers, faults, traces).
 //! * [`spec`] — model-checkable specifications of the algorithms.
 //! * [`mc`] — the explicit-state model checker (TLC stand-in).
-//! * [`harness`] — workloads, metrics and the E1–E11 experiment runner.
+//! * [`harness`] — workloads, metrics and the E1–E13 experiment runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,6 +2,7 @@
 //! experiment harness agree with the paper's claims end to end.
 
 use bakery_suite::harness::experiments::{self, ExperimentId};
+use bakery_suite::json::{FromJson, Value};
 use bakery_suite::sim::trace::refinement::{check_fcfs_by_ticket, count_fifo_inversions};
 use bakery_suite::sim::{RandomScheduler, RunConfig, Simulator};
 use bakery_suite::spec::{BakeryPlusPlusSpec, BakerySpec};
@@ -46,15 +47,17 @@ fn e1_experiment_tables_capture_the_headline_contrast() {
     let tables = experiments::e1_overflow::run(true);
     let main = &tables[0];
     // Column 3 is the classic Bakery's overflow count; column 8 is Bakery++'s.
+    // Cells are typed: every one read here is a JSON integer.
     for row in &main.rows {
-        let m: u64 = row[0].parse().unwrap();
-        let classic_overflows: u64 = row[3].parse().unwrap();
-        let pp_overflows: u64 = row[8].parse().unwrap();
+        let cell = |i: usize| u64::from_json(&row[i]).unwrap();
+        let m = cell(0);
+        let classic_overflows = cell(3);
+        let pp_overflows = cell(8);
         assert_eq!(pp_overflows, 0, "M={m}");
         if m < 2_000 {
             assert!(classic_overflows > 0, "M={m} should overflow in 2000 rounds");
         }
-        let pp_max: u64 = row[5].parse().unwrap();
+        let pp_max = cell(5);
         assert!(pp_max <= m);
     }
 }
@@ -75,6 +78,17 @@ fn quick_report_renders_markdown_and_json() {
     let markdown = report.to_markdown();
     assert!(markdown.contains("E1"));
     assert!(markdown.contains("E9"));
-    let json = report.to_json();
-    assert!(json.contains("\"tables\""));
+    // The runner's writer: one BENCH_<id>.json per experiment.
+    let dir = std::env::temp_dir().join(format!("bakery-quick-report-{}", std::process::id()));
+    let written = report.write_dir(&dir).unwrap();
+    assert_eq!(written.len(), 2);
+    for path in &written {
+        let json = std::fs::read_to_string(path).unwrap();
+        assert!(json.contains("\"tables\""));
+        assert!(bakery_suite::json::parse(&json)
+            .unwrap()
+            .get("tables")
+            .is_some_and(|t| matches!(t, Value::Array(_))));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
