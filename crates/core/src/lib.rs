@@ -88,7 +88,7 @@
 //! by the paper's Theorem applied node-locally, so the composite never
 //! overflows either.  The composition is verified by the `bakery-spec::tree`
 //! state machine (model checked in `bakery-mc`), the differential conformance
-//! suite (`tests/conformance.rs`) and the loom interleaving tests.
+//! suite (`tests/conformance.rs`) and the loom stress tests.
 //!
 //! ## Memory ordering
 //!

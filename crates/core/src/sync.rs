@@ -1,10 +1,13 @@
 //! Facade over the atomic primitives used by the locks.
 //!
 //! In normal builds this re-exports `std::sync::atomic`.  When the crate is
-//! compiled with `RUSTFLAGS="--cfg loom"` the [loom](https://docs.rs/loom)
-//! model checker's instrumented atomics are used instead, so the real lock
-//! implementations can be exhaustively checked for small thread counts under
-//! the C11 memory model (see `crates/core/tests` and DESIGN.md §2).
+//! compiled with `RUSTFLAGS="--cfg loom"` the atomics come from the vendored
+//! `loom` instead.  That crate is a stress shim (`vendor/README.md`): it
+//! re-runs each model closure many times on real threads, so the loom suite
+//! (`crates/core/tests/loom.rs`) stress-tests the real locks through this
+//! facade but does not enumerate interleavings or model weak memory.
+//! Exhaustive checking of the lock code waits on the real interleaving
+//! checker listed in ROADMAP.md's open items.
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -45,8 +45,8 @@
 //! The composition is verified, not trusted: `bakery-spec::tree` models a
 //! two-level tree as a step machine for the `bakery-mc` explorer, the
 //! differential conformance suite (`tests/conformance.rs`) replays identical
-//! seeded schedules against spec and lock, and the loom suite interleaves the
-//! real atomics (`crates/core/tests/loom.rs`).
+//! seeded schedules against spec and lock, and the loom suite stress-tests
+//! the real atomics on real threads (`crates/core/tests/loom.rs`).
 
 use std::sync::Arc;
 

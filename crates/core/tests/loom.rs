@@ -1,4 +1,4 @@
-//! loom model-checking of the real atomics-based locks.
+//! loom stress tests of the real atomics-based locks.
 //!
 //! These tests only compile and run under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -8,8 +8,12 @@
 //!
 //! They complement the `bakery-mc` explicit-state checker: `bakery-mc`
 //! verifies the *abstract algorithm* under the paper's register model, while
-//! loom verifies this crate's *implementation* (SeqCst atomics) under the C11
-//! memory model for two threads.
+//! these tests run this crate's *implementation* (acquire/release atomics
+//! plus the doorway fences) on real threads through the `bakery_core::sync`
+//! facade.  The vendored loom is a stress shim (`vendor/README.md`): each
+//! model closure re-runs many times, which catches races probabilistically
+//! but proves nothing.  Exhaustive checking waits on the real interleaving
+//! checker listed in ROADMAP.md's open items.
 #![cfg(loom)]
 
 use std::sync::Arc;

@@ -135,9 +135,12 @@ pub fn slow_process_share_table(quick: bool) -> Table {
         ]);
     }
     table.push_note(
-        "The slower the victim is scheduled, the smaller its share — but it keeps making \
-         progress whenever it runs, matching the paper's assessment that the pathological \
-         case requires a process that effectively never runs.",
+        "Each fast process is scheduled `slowdown` times as often as the slow one, so the \
+         slowdown-1 row is the fair baseline: every enabled process is equally likely to move, \
+         and the slow process gets about a third of the entries.  The slower the victim is \
+         scheduled, the smaller its share — but it keeps making progress whenever it runs, \
+         matching the paper's assessment that the pathological case requires a process that \
+         effectively never runs.",
     );
     table
 }
@@ -177,5 +180,11 @@ mod tests {
         let first = table.rows[0][3].as_f64().unwrap();
         let last = table.rows[3][3].as_f64().unwrap();
         assert!(first > last, "share must shrink as the scheduler gets more unfair ({first} vs {last})");
+        // Slowdown 1 schedules all three processes alike: a fair baseline,
+        // near the third a uniform scheduler gives one of three processes.
+        assert!(
+            (25.0..=40.0).contains(&first),
+            "the slowdown-1 row must be the fair baseline, got {first} %"
+        );
     }
 }

@@ -399,6 +399,46 @@ mod tests {
             .expect("a starvation cycle at L1 should exist for M = 2");
         assert_eq!(witness.victim, 2);
         assert!(witness.cycle_length() >= 2);
+
+        // The exact witness is pinned: it depends on arena ids, so any change
+        // in the spec's successor sets or successor push order moves it.
+        // Along the cycle only process 0 moves (process 1 idles in its NCS,
+        // the victim sits at L1); each entry is `(choosing[0], number[0],
+        // pc of process 0)`, every other register reading zero.
+        assert_eq!(report.states, 75_102);
+        assert_eq!(witness.prefix_length, 2);
+        let expected: Vec<String> = [
+            (0, 0, pc::L1_SCAN),
+            (0, 0, pc::L1_SCAN),
+            (0, 0, pc::L1_SCAN),
+            (0, 0, pc::L1_SCAN),
+            (0, 0, pc::SET_CHOOSING),
+            (1, 0, pc::COMPUTE_MAX),
+            (1, 0, pc::COMPUTE_MAX),
+            (1, 0, pc::COMPUTE_MAX),
+            (1, 0, pc::COMPUTE_MAX),
+            (1, 0, pc::WRITE_MAX),
+            (1, 0, pc::CHECK_BOUND),
+            (1, 0, pc::WRITE_TICKET),
+            (1, 1, pc::CLEAR_CHOOSING),
+            (0, 1, pc::SCAN_CHOOSING),
+            (0, 1, pc::SCAN_CHOOSING),
+            (0, 1, pc::SCAN_NUMBER),
+            (0, 1, pc::SCAN_CHOOSING),
+            (0, 1, pc::SCAN_NUMBER),
+            (0, 1, pc::SCAN_CHOOSING),
+            (0, 1, pc::CS),
+            (0, 0, pc::NCS),
+        ]
+        .iter()
+        .map(|(choosing, number, pc0)| {
+            format!(
+                "[choosing[0]={choosing} choosing[1]=0 choosing[2]=0 \
+                 number[0]={number} number[1]=0 number[2]=0] [p0@{pc0} p1@0 p2@1]"
+            )
+        })
+        .collect();
+        assert_eq!(witness.cycle, expected);
     }
 
     #[test]

@@ -149,6 +149,68 @@ fn atomic_mode_is_pinned_and_thread_count_invariant() {
     );
 }
 
+/// The Bakery-family step body under the models the atomic table above does
+/// not reach: safe registers, the crash transition, and a tree placement
+/// whose paths meet only at the root.  The safe close-outs below pin only
+/// their state counts and the crash close-outs only their verdicts, so these
+/// full pins (at one worker and at four) are what catches a drift in the
+/// successor sets or the crash rule of the shared program.
+#[test]
+fn bakery_family_safe_crash_and_root_only_pins_are_thread_count_invariant() {
+    fn check<A: Algorithm>(spec: &A, crashes: bool, pin: Pin, what: &str) {
+        for threads in [1, 4] {
+            let report = ModelChecker::new(spec)
+                .with_crashes(crashes)
+                .with_threads(threads)
+                .run();
+            assert_pinned(&report, pin, &format!("{what} x{threads}"));
+        }
+    }
+    let safe = RegisterSemantics::Safe;
+    check(
+        &BakerySpec::new(2, 3).with_semantics(safe),
+        false,
+        (3065, 3065, 5808, 60, 0xd5c1_a560_d6c8_4d76),
+        "bakery(2,3) safe",
+    );
+    check(
+        &BakeryPlusPlusSpec::new(2, 3).with_semantics(safe),
+        false,
+        (3667, 3667, 7195, 66, 0xaf7f_7d65_3f97_3d09),
+        "bakery++(2,3) safe",
+    );
+    check(
+        &BakerySpec::new(2, 3),
+        true,
+        (1094, 1094, 3820, 46, 0xd8d7_45a9_07ea_138b),
+        "bakery(2,3) + crashes",
+    );
+    check(
+        &BakeryPlusPlusSpec::new(2, 3),
+        true,
+        (1635, 1635, 6058, 68, 0x9b42_ddfa_7956_8a34),
+        "bakery++(2,3) + crashes",
+    );
+    check(
+        &BakeryPlusPlusSpec::new(2, 3).with_semantics(safe),
+        true,
+        (3754, 3754, 14_345, 55, 0xef27_73f3_6d4d_d45e),
+        "bakery++(2,3) safe + crashes",
+    );
+    check(
+        &TreeBakerySpec::new(2, 2).with_active_processes(&[0, 1]),
+        true,
+        (3291, 3291, 12_462, 83, 0x1711_152a_b8dd_8367),
+        "tree(2,2) active=[0,1] + crashes",
+    );
+    check(
+        &TreeBakerySpec::new(2, 2).with_active_processes(&[0, 2]),
+        false,
+        (3614, 3614, 7056, 162, 0xeb52_1158_4e88_9da4),
+        "tree(2,2) active=[0,2]",
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Bakery++ under safe registers: the paper invariants close out.
 // ---------------------------------------------------------------------------
@@ -408,12 +470,12 @@ proptest! {
                 match in_flight {
                     false => prop_assert_eq!(
                         reads,
-                        vec![state.shared[idx]],
+                        state.shared[idx]..=state.shared[idx],
                         "non-overlapping read must return the committed value"
                     ),
                     true => prop_assert_eq!(
                         reads,
-                        (0..=bound).collect::<Vec<u64>>(),
+                        0..=bound,
                         "overlapping read must flicker over the declared domain"
                     ),
                 }

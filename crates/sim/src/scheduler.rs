@@ -9,9 +9,9 @@
 //!   in turn;
 //! * [`RandomScheduler`] — uniformly random enabled process, seeded and
 //!   reproducible;
-//! * [`AdversarialScheduler`] — prefers a subset of "fast" processes and only
-//!   lets the remaining "slow" processes move occasionally, reproducing the
-//!   slow-reader scenario of the paper's Section 6.3;
+//! * [`AdversarialScheduler`] — picks each "fast" process `slowdown` times
+//!   as often as each remaining "slow" one, reproducing the slow-reader
+//!   scenario of the paper's Section 6.3;
 //! * [`ReplayScheduler`] — replays a previously recorded choice sequence
 //!   exactly (used by trace replay and the refinement experiment).
 
@@ -85,10 +85,12 @@ impl Scheduler for RandomScheduler {
     }
 }
 
-/// Prefers the `fast` processes; a process outside that set only moves when
-/// either no fast process is enabled or a biased coin (1 in `slowdown`) says
-/// so.  This reproduces the paper's §6.3 scenario of "an extremely slow
-/// process against two processes that are quite fast".
+/// Prefers the `fast` processes: each enabled fast process is `slowdown`
+/// times as likely to be picked as each enabled slow one (a process outside
+/// that set).  At `slowdown` 1 every enabled process is equally likely, and
+/// a slow process is picked whenever no fast one is enabled.  This
+/// reproduces the paper's §6.3 scenario of "an extremely slow process
+/// against two processes that are quite fast".
 #[derive(Debug)]
 pub struct AdversarialScheduler {
     fast: Vec<usize>,
@@ -97,8 +99,8 @@ pub struct AdversarialScheduler {
 }
 
 impl AdversarialScheduler {
-    /// Creates an adversarial scheduler favouring `fast` processes; the other
-    /// processes move roughly once every `slowdown` opportunities.
+    /// Creates an adversarial scheduler favouring `fast` processes by a
+    /// factor of `slowdown` per process.
     #[must_use]
     pub fn new(fast: Vec<usize>, slowdown: u32, seed: u64) -> Self {
         assert!(slowdown > 0, "slowdown must be positive");
@@ -112,22 +114,23 @@ impl AdversarialScheduler {
 
 impl Scheduler for AdversarialScheduler {
     fn pick(&mut self, enabled: &[usize], _step: u64) -> usize {
-        let fast_enabled: Vec<usize> = enabled
-            .iter()
-            .copied()
-            .filter(|pid| self.fast.contains(pid))
-            .collect();
-        let slow_enabled: Vec<usize> = enabled
-            .iter()
-            .copied()
-            .filter(|pid| !self.fast.contains(pid))
-            .collect();
-        let give_slow_a_turn = self.rng.gen_ratio(1, self.slowdown);
-        if fast_enabled.is_empty() || (give_slow_a_turn && !slow_enabled.is_empty()) {
-            slow_enabled[self.rng.gen_range(0..slow_enabled.len())]
-        } else {
-            fast_enabled[self.rng.gen_range(0..fast_enabled.len())]
+        // A weighted draw: weight `slowdown` per fast process, 1 per slow one.
+        let weight = |pid: usize| {
+            if self.fast.contains(&pid) {
+                u64::from(self.slowdown)
+            } else {
+                1
+            }
+        };
+        let total: u64 = enabled.iter().map(|&pid| weight(pid)).sum();
+        let mut draw = self.rng.gen_range(0..total);
+        for &pid in enabled {
+            if draw < weight(pid) {
+                return pid;
+            }
+            draw -= weight(pid);
         }
+        unreachable!("the draw is below the total weight")
     }
 
     fn pick_branch(&mut self, count: usize, _step: u64) -> usize {
@@ -250,6 +253,22 @@ mod tests {
             slow_turns < 50,
             "slow process moved {slow_turns} times out of 1000"
         );
+    }
+
+    #[test]
+    fn adversarial_scheduler_at_slowdown_one_is_uniform() {
+        let mut s = AdversarialScheduler::new(vec![0, 1], 1, 42);
+        let enabled = vec![0, 1, 2];
+        let mut picks = [0usize; 3];
+        for i in 0..3_000 {
+            picks[s.pick(&enabled, i)] += 1;
+        }
+        for (pid, &count) in picks.iter().enumerate() {
+            assert!(
+                (800..=1_200).contains(&count),
+                "pid {pid} picked {count} times out of 3000: {picks:?}"
+            );
+        }
     }
 
     #[test]

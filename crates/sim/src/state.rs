@@ -8,6 +8,7 @@
 //! traces can be exported as JSON.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Description of one shared register: its name (for traces and reports) and
 /// its bound `M` (the largest value it may legally hold).
@@ -230,12 +231,12 @@ impl ProgState {
     /// the single pending value normally, or every value in `[0, bound]`
     /// after a clash.
     #[must_use]
-    pub fn commit_values(&self, idx: usize, bound: u64) -> Vec<u64> {
+    pub fn commit_values(&self, idx: usize, bound: u64) -> RangeInclusive<u64> {
         let cell = &self.writes[idx];
         if cell.clash {
-            (0..=bound).collect()
+            0..=bound
         } else {
-            vec![cell.value]
+            cell.value..=cell.value
         }
     }
 
@@ -271,14 +272,14 @@ impl ProgState {
             .position(|cell| cell.writers & (1 << pid) != 0)
     }
 
-    /// The values a safe-semantics read of register `idx` may return: the
-    /// committed value when no write is in flight, otherwise every value in
-    /// `[0, bound]` (a flickering read).
+    /// The values a read of register `idx` may return: the committed value
+    /// when no write is in flight (always, under atomic semantics), otherwise
+    /// every value in `[0, bound]` (a flickering read).
     #[must_use]
-    pub fn read_values(&self, idx: usize, bound: u64) -> Vec<u64> {
+    pub fn read_values(&self, idx: usize, bound: u64) -> RangeInclusive<u64> {
         match self.writes.get(idx) {
-            Some(cell) if !cell.is_idle() => (0..=bound).collect(),
-            _ => vec![self.shared[idx]],
+            Some(cell) if !cell.is_idle() => 0..=bound,
+            _ => self.shared[idx]..=self.shared[idx],
         }
     }
 
@@ -448,12 +449,12 @@ mod tests {
         assert_eq!(s.write_in_progress_by(0), Some(1));
         assert_eq!(s.read(1), 0, "committed value unchanged until end_write");
         assert_eq!(s.last_stored(1), 5, "writer's intent visible");
-        assert_eq!(s.read_values(1, 7), (0..=7).collect::<Vec<_>>(), "flicker");
-        assert_eq!(s.commit_values(1, 7), vec![5]);
+        assert_eq!(s.read_values(1, 7), 0..=7, "flicker");
+        assert_eq!(s.commit_values(1, 7), 5..=5);
         s.end_write(1, 0, 5);
         assert_eq!(s.read(1), 5);
         assert!(s.writes[1].is_idle());
-        assert_eq!(s.read_values(1, 7), vec![5], "quiescent read is exact");
+        assert_eq!(s.read_values(1, 7), 5..=5, "quiescent read is exact");
     }
 
     #[test]
@@ -463,7 +464,7 @@ mod tests {
         s.begin_write(0, 1, 1);
         assert!(s.writes[0].clash);
         assert_eq!(s.writes[0].value, 0, "clash carries no pending value");
-        assert_eq!(s.commit_values(0, 2), vec![0, 1, 2]);
+        assert_eq!(s.commit_values(0, 2), 0..=2);
         s.end_write(0, 0, 2);
         assert!(s.writes[0].clash, "clash persists while a writer remains");
         s.end_write(0, 1, 1);

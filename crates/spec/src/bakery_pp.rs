@@ -1,324 +1,48 @@
-//! Step-machine specification of Bakery++ (Algorithm 2).
+//! Bakery++ (Algorithm 2): the [`PlusPlus`] doorway of the one Bakery step
+//! machine in [`crate::bakery`].
 //!
-//! Structurally identical to [`crate::BakerySpec`] plus the two additions the
-//! paper makes: the `L1` admission scan and the pre-increment bound check with
-//! its reset path.  The specification never stores a value above `M` — the
-//! model checker verifies that exhaustively in experiment **E2**.
+//! ```text
+//! constant M;
+//! L1: if ∃ q : number[q] ≥ M then goto L1;
+//!     choosing[i] := 1;
+//!     number[i]   := maximum(number[1], …, number[N]);
+//!     if number[i] ≥ M then begin
+//!         number[i] := 0; choosing[i] := 0; goto L1;
+//!     end
+//!     else number[i] := number[i] + 1;
+//!     choosing[i] := 0;
+//!     … L2, L3, critical section and exit as in Algorithm 1
+//! ```
+//!
+//! The doorway adds exactly the paper's two additions to the shared body:
+//! the `L1` admission scan (one `number[q]` read per step, restarting at any
+//! value `≥ M`) and the bound check with its reset path (the observed maximum
+//! is stored first, then incremented only below `M`).  The specification
+//! never stores a value above `M`; the model checker verifies that
+//! exhaustively in experiment **E2**.
 
-use bakery_sim::{
-    Algorithm, Observation, ProcState, ProgState, RegisterSemantics, RegisterSpec, StateBounds,
-    SymmetryGroup,
-};
+use crate::bakery::{Doorway, FlatBakerySpec};
 
-use crate::bakery::{LOCAL_J, LOCAL_MAX};
-use crate::layout::{
-    choosing_idx, choosing_may_read_zero, flat_symmetry, number_idx, read_number, ticket_precedes,
-};
-use crate::pc;
+/// Algorithm 2's doorway: the `L1` admission scan plus the bound check.
+#[derive(Debug, Clone, Copy)]
+pub struct PlusPlus;
+
+impl Doorway for PlusPlus {
+    const NAME: &'static str = "bakery++";
+    const GUARDED: bool = true;
+}
 
 /// Bakery++ as a checkable specification.
-#[derive(Debug, Clone)]
-pub struct BakeryPlusPlusSpec {
-    n: usize,
-    bound: u64,
-    semantics: RegisterSemantics,
-}
-
-impl BakeryPlusPlusSpec {
-    /// Creates a Bakery++ spec for `n` processes with register bound `M = bound`.
-    #[must_use]
-    pub fn new(n: usize, bound: u64) -> Self {
-        assert!(n >= 1, "need at least one process");
-        assert!(bound >= 1, "the register bound M must be at least 1");
-        Self {
-            n,
-            bound,
-            semantics: RegisterSemantics::Atomic,
-        }
-    }
-
-    /// Selects the register model (atomic or safe/flickering registers).
-    #[must_use]
-    pub fn with_semantics(mut self, semantics: RegisterSemantics) -> Self {
-        self.semantics = semantics;
-        self
-    }
-
-    /// The register bound `M`.
-    #[must_use]
-    pub fn bound(&self) -> u64 {
-        self.bound
-    }
-
-    /// A successor in which `pid` stores `value` to register `idx`: the
-    /// whole write under atomic semantics, the *begin* step under safe
-    /// semantics (the commit is forced as `pid`'s next step).
-    fn store(&self, state: &ProgState, pid: usize, idx: usize, value: u64) -> ProgState {
-        let mut next = state.clone();
-        match self.semantics {
-            RegisterSemantics::Atomic => next.set_shared(idx, value),
-            RegisterSemantics::Safe => next.begin_write(idx, value, pid),
-        }
-        next
-    }
-}
-
-impl Algorithm for BakeryPlusPlusSpec {
-    fn name(&self) -> &str {
-        "bakery++"
-    }
-
-    fn processes(&self) -> usize {
-        self.n
-    }
-
-    fn registers(&self) -> Vec<RegisterSpec> {
-        crate::layout::registers(self.n, self.bound, false)
-    }
-
-    fn initial_state(&self) -> ProgState {
-        let procs = (0..self.n)
-            .map(|_| ProcState::new(pc::NCS, vec![0, 0]))
-            .collect();
-        match self.semantics {
-            RegisterSemantics::Atomic => ProgState::new(2 * self.n, procs),
-            RegisterSemantics::Safe => ProgState::new_weak(2 * self.n, procs),
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn successors(&self, state: &ProgState, pid: usize, out: &mut Vec<ProgState>) {
-        if state.is_crashed(pid) {
-            return;
-        }
-        // Safe semantics: a begun write must commit before the process takes
-        // any other step (program order).  Bakery++ registers are all
-        // single-writer, so the commit is the pending value, never a clash.
-        if let Some(idx) = state.write_in_progress_by(pid) {
-            for value in state.commit_values(idx, self.bound) {
-                let mut next = state.clone();
-                next.end_write(idx, pid, value);
-                out.push(next);
-            }
-            return;
-        }
-        let n = self.n;
-        let j = state.local(pid, LOCAL_J) as usize;
-        let max = state.local(pid, LOCAL_MAX);
-        match state.pc(pid) {
-            pc::NCS => {
-                // Start the L1 admission scan.
-                let mut next = state.clone();
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_local(pid, LOCAL_MAX, 0);
-                next.set_pc(pid, pc::L1_SCAN);
-                out.push(next);
-            }
-            pc::L1_SCAN => {
-                if j >= n {
-                    // All registers observed below M: proceed to the doorway.
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, 0);
-                    next.set_pc(pid, pc::SET_CHOOSING);
-                    out.push(next);
-                } else {
-                    // Two possible outcomes (restart vs advance); flicker
-                    // values with the same outcome yield the same successor,
-                    // so push each outcome at most once.
-                    let values = read_number(state, n, j, self.bound);
-                    if values.iter().any(|&value| value >= self.bound) {
-                        // Illegitimate situation: restart the scan (goto L1).
-                        let mut next = state.clone();
-                        next.set_local(pid, LOCAL_J, 0);
-                        out.push(next);
-                    }
-                    if values.iter().any(|&value| value < self.bound) {
-                        let mut next = state.clone();
-                        next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                        out.push(next);
-                    }
-                }
-            }
-            pc::SET_CHOOSING => {
-                let mut next = self.store(state, pid, choosing_idx(pid), 1);
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_local(pid, LOCAL_MAX, 0);
-                next.set_pc(pid, pc::COMPUTE_MAX);
-                out.push(next);
-            }
-            pc::COMPUTE_MAX => {
-                if j < n {
-                    // Deduplicate flicker reads by the folded maximum.
-                    let mut maxima: Vec<u64> = read_number(state, n, j, self.bound)
-                        .into_iter()
-                        .map(|value| max.max(value))
-                        .collect();
-                    maxima.sort_unstable();
-                    maxima.dedup();
-                    for folded in maxima {
-                        let mut next = state.clone();
-                        next.set_local(pid, LOCAL_MAX, folded);
-                        next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                        out.push(next);
-                    }
-                } else {
-                    let mut next = state.clone();
-                    next.set_pc(pid, pc::WRITE_MAX);
-                    out.push(next);
-                }
-            }
-            pc::WRITE_MAX => {
-                // number[i] := maximum(...).  Always <= M: each register is <= M
-                // individually (flicker reads are also capped at the bound).
-                let mut next = self.store(state, pid, number_idx(n, pid), max.min(self.bound));
-                next.set_pc(pid, pc::CHECK_BOUND);
-                out.push(next);
-            }
-            pc::CHECK_BOUND => {
-                let mut next = state.clone();
-                if max >= self.bound {
-                    next.set_pc(pid, pc::RESET_NUMBER);
-                } else {
-                    next.set_pc(pid, pc::WRITE_TICKET);
-                }
-                out.push(next);
-            }
-            pc::RESET_NUMBER => {
-                let mut next = self.store(state, pid, number_idx(n, pid), 0);
-                next.set_pc(pid, pc::RESET_CHOOSING);
-                out.push(next);
-            }
-            pc::RESET_CHOOSING => {
-                let mut next = self.store(state, pid, choosing_idx(pid), 0);
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_pc(pid, pc::L1_SCAN);
-                out.push(next);
-            }
-            pc::WRITE_TICKET => {
-                // number[i] := max + 1, guarded by max < M so the store is <= M.
-                debug_assert!(max < self.bound);
-                let mut next = self.store(state, pid, number_idx(n, pid), max + 1);
-                next.set_pc(pid, pc::CLEAR_CHOOSING);
-                out.push(next);
-            }
-            pc::CLEAR_CHOOSING => {
-                let mut next = self.store(state, pid, choosing_idx(pid), 0);
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_pc(pid, pc::SCAN_CHOOSING);
-                out.push(next);
-            }
-            pc::SCAN_CHOOSING => {
-                if j == pid {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                    out.push(next);
-                } else if j >= n {
-                    let mut next = state.clone();
-                    next.set_pc(pid, pc::CS);
-                    out.push(next);
-                } else if choosing_may_read_zero(state, j) {
-                    let mut next = state.clone();
-                    next.set_pc(pid, pc::SCAN_NUMBER);
-                    out.push(next);
-                }
-            }
-            pc::SCAN_NUMBER => {
-                // Outcome dedup: every passing read value yields the same
-                // successor, so one push suffices.
-                let my_number = state.read(number_idx(n, pid));
-                let passes = read_number(state, n, j, self.bound)
-                    .into_iter()
-                    .any(|other| other == 0 || !ticket_precedes(other, j, my_number, pid));
-                if passes {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                    next.set_pc(pid, pc::SCAN_CHOOSING);
-                    out.push(next);
-                }
-            }
-            pc::CS => {
-                let mut next = self.store(state, pid, number_idx(n, pid), 0);
-                next.set_pc(pid, pc::NCS);
-                out.push(next);
-            }
-            _ => {}
-        }
-    }
-
-    fn in_critical_section(&self, state: &ProgState, pid: usize) -> bool {
-        state.pc(pid) == pc::CS
-    }
-
-    fn is_trying(&self, state: &ProgState, pid: usize) -> bool {
-        let p = state.pc(pid);
-        p != pc::NCS && p != pc::CS
-    }
-
-    fn crash(&self, state: &ProgState, pid: usize) -> Option<ProgState> {
-        if state.pc(pid) == pc::NCS
-            && state.read(choosing_idx(pid)) == 0
-            && state.read(number_idx(self.n, pid)) == 0
-            && state.write_in_progress_by(pid).is_none()
-        {
-            return None;
-        }
-        let mut next = state.clone();
-        // A crash mid-write aborts the write (pending value dropped).
-        next.abort_writes(pid);
-        next.set_shared(choosing_idx(pid), 0);
-        next.set_shared(number_idx(self.n, pid), 0);
-        next.set_local(pid, LOCAL_J, 0);
-        next.set_local(pid, LOCAL_MAX, 0);
-        next.set_pc(pid, pc::NCS);
-        Some(next)
-    }
-
-    fn pc_label(&self, pc_value: u32) -> &'static str {
-        pc::label(pc_value)
-    }
-
-    fn state_bounds(&self) -> StateBounds {
-        // Bakery++ never stores above M (even flicker reads cap at the
-        // bound), so the folded maximum is at most M; the loop index is at
-        // most n.
-        StateBounds::new(pc::CS, vec![self.n as u64, self.bound])
-    }
-
-    fn register_semantics(&self) -> RegisterSemantics {
-        self.semantics
-    }
-
-    fn symmetry(&self) -> Option<SymmetryGroup> {
-        flat_symmetry(self.n)
-    }
-
-    fn observe(&self, prev: &ProgState, next: &ProgState, pid: usize) -> Option<Observation> {
-        let (before, after) = (prev.pc(pid), next.pc(pid));
-        if before == pc::WRITE_TICKET && after == pc::CLEAR_CHOOSING {
-            return Some(Observation::TicketTaken {
-                pid,
-                // The pending value under safe semantics (this transition is
-                // the write's begin step), the committed value otherwise.
-                number: next.last_stored(number_idx(self.n, pid)),
-            });
-        }
-        if before == pc::RESET_CHOOSING && after == pc::L1_SCAN {
-            return Some(Observation::OverflowAvoided { pid });
-        }
-        if before != pc::CS && after == pc::CS {
-            return Some(Observation::EnterCs { pid });
-        }
-        if before == pc::CS && after == pc::NCS {
-            return Some(Observation::ExitCs { pid });
-        }
-        None
-    }
-}
+pub type BakeryPlusPlusSpec = FlatBakerySpec<PlusPlus>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bakery_sim::{RandomScheduler, RoundRobinScheduler, RunConfig, Simulator};
+    use crate::layout::number_idx;
+    use crate::pc;
+    use bakery_sim::{
+        Algorithm, RandomScheduler, RegisterSemantics, RoundRobinScheduler, RunConfig, Simulator,
+    };
 
     #[test]
     fn single_process_cycles_cleanly() {

@@ -7,6 +7,20 @@
 //! (experiments **E2**, **E3**, **E5**) and sampled at scale by the
 //! `bakery-sim` simulator (experiments **E1**, **E4**, **E6**, **E8**).
 //!
+//! ## One Bakery program
+//!
+//! The Bakery family is written once.  [`bakery`] holds one step body with a
+//! match arm per [`pc`] phase, generic over its [`bakery::Doorway`]: the
+//! [`bakery::Classic`] doorway of Algorithm 1 or the
+//! [`bakery_pp::PlusPlus`] doorway of Algorithm 2, which adds the `L1`
+//! admission scan and the bound check with its reset path.  [`BakerySpec`]
+//! and [`BakeryPlusPlusSpec`] are aliases of one generic flat spec
+//! ([`bakery::FlatBakerySpec`]) over those two doorways, and so share their
+//! crash rule, observations, register layout, initial state, symmetry group
+//! and safe-register commit step.  [`TreeBakerySpec`] runs the same Bakery++
+//! body on each level's node registers and adds only the climb, the
+//! root-first release, the engaged-prefix crash rule and its symmetry group.
+//!
 //! ## Atomicity granularity and register semantics
 //!
 //! Each specification step performs **at most one shared-register access**,
@@ -52,11 +66,12 @@ pub use tree::TreeBakerySpec;
 
 pub use bakery_sim::RegisterSemantics;
 
-/// Program-counter labels shared by the Bakery-family specifications.
+/// The phases of the one Bakery step body ([`bakery`]).
 ///
-/// Keeping the numbering identical between [`BakerySpec`] and
-/// [`BakeryPlusPlusSpec`] makes refinement comparisons and trace reading
-/// straightforward: Bakery simply never occupies the Bakery++-only labels.
+/// The flat specs use these values as their program counters, so
+/// [`BakerySpec`] and [`BakeryPlusPlusSpec`] number every shared phase
+/// alike and the classic doorway simply never occupies the Bakery++-only
+/// phases.  [`TreeBakerySpec`] offsets the trying phases by `16·(level + 1)`.
 pub mod pc {
     /// Noncritical section.
     pub const NCS: u32 = 0;
@@ -109,7 +124,7 @@ pub mod pc {
 
 /// Shared helpers for the Bakery-family specifications.
 pub(crate) mod layout {
-    use bakery_sim::{ProgState, RegisterSpec, StatePermutation, SymmetryGroup};
+    use bakery_sim::{RegisterSpec, StatePermutation, SymmetryGroup};
 
     /// Index of `choosing[pid]` in the shared vector.
     pub fn choosing_idx(pid: usize) -> usize {
@@ -121,40 +136,19 @@ pub(crate) mod layout {
         n + pid
     }
 
-    /// The register layout shared by Bakery and Bakery++: `choosing[0..n]`
-    /// followed by `number[0..n]`.
-    pub fn registers(n: usize, bound: u64, sentinel: bool) -> Vec<RegisterSpec> {
+    /// The register layout of the flat specs: `choosing[0..n]` followed by
+    /// `number[0..n]`.  The declared bound is M; the classic Bakery may
+    /// physically hold the sentinel M+1, which is exactly the overflow the
+    /// invariant reports.
+    pub fn registers(n: usize, bound: u64) -> Vec<RegisterSpec> {
         let mut regs = Vec::with_capacity(2 * n);
         for pid in 0..n {
             regs.push(RegisterSpec::owned(format!("choosing[{pid}]"), 1, pid));
         }
         for pid in 0..n {
-            // The declared bound is M; the classic Bakery may physically hold
-            // the sentinel M+1 which is exactly the overflow the invariant
-            // reports.  The spec's own bound field stays M in both cases.
-            let _ = sentinel;
             regs.push(RegisterSpec::owned(format!("number[{pid}]"), bound, pid));
         }
         regs
-    }
-
-    /// Reads `number[j]` under the state's register semantics.
-    ///
-    /// Returns the set of values the read may yield: the committed value
-    /// when no write is in flight (always the case under atomic semantics,
-    /// where states carry no pending-write cells), or every value in
-    /// `[0, bound]` when the read overlaps an in-progress write.
-    pub fn read_number(state: &ProgState, n: usize, j: usize, bound: u64) -> Vec<u64> {
-        state.read_values(number_idx(n, j), bound)
-    }
-
-    /// True when a read of `choosing[j]` may return zero: either the
-    /// committed value is zero, or an in-progress write makes the read
-    /// flicker (one of the flicker values is always zero).  This is the
-    /// outcome-level view of the L2 guard — the distinct flicker values all
-    /// lead to the same successor, so the specs branch on the outcome.
-    pub fn choosing_may_read_zero(state: &ProgState, j: usize) -> bool {
-        state.read_values(choosing_idx(j), 1).contains(&0)
     }
 
     /// The paper's `(a, b) < (c, d)` comparison on `(number, pid)` pairs.

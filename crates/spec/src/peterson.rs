@@ -127,14 +127,11 @@ impl Algorithm for PetersonSpec {
                 // the atomic-mode state machine is unchanged); under safe
                 // semantics the guard branches over every readable pair.
                 // All passing pairs yield the same successor (outcome dedup).
-                let passes = state.read_values(Self::flag_idx(other), 1).iter().any(
-                    |&other_flag| {
-                        state
-                            .read_values(TURN, 1)
-                            .iter()
-                            .any(|&turn| other_flag == 0 || turn != other as u64)
-                    },
-                );
+                let passes = state.read_values(Self::flag_idx(other), 1).any(|other_flag| {
+                    state
+                        .read_values(TURN, 1)
+                        .any(|turn| other_flag == 0 || turn != other as u64)
+                });
                 if passes {
                     out.push(state.with_pc(pid, pc::CS));
                 }

@@ -8,13 +8,16 @@
 //! the critical section after winning the root, and releases the nodes in
 //! reverse (root first, leaf last) — one register write per release step.
 //!
-//! Every step performs at most one shared-register access, the same
-//! granularity as [`crate::BakeryPlusPlusSpec`]; in fact each level of the
-//! program *is* that specification, re-indexed onto the level's node
-//! registers with the process's child slot playing the role of the node-local
-//! process id.  Registers are atomic ([`crate::RegisterSemantics::Atomic`]):
-//! the composition argument, not the safe-register model, is what this spec
-//! exists to check.
+//! Each level of the program *is* [`crate::BakeryPlusPlusSpec`]'s program,
+//! by construction: the tree runs the one Bakery step body of
+//! [`crate::bakery`] with the [`PlusPlus`] doorway on the level's node
+//! registers, with the process's child slot as its node-local process id.
+//! So every step performs at most one shared-register access, as in the flat
+//! specs.  The tree adds only what belongs to it: the climb from one level
+//! to the next, the root-first release, the engaged-prefix crash rule, its
+//! register declarations and the leaf-placement symmetry group.  Registers
+//! are atomic ([`crate::RegisterSemantics::Atomic`]): the composition
+//! argument, not the safe-register model, is what this spec exists to check.
 //!
 //! The `bakery-mc` explorer checks the composition exhaustively for small
 //! instances (see `with_active_processes`, which keeps the state space
@@ -34,12 +37,12 @@
 //! release write into its CS exit.
 
 use bakery_sim::{
-    Algorithm, Invariant, Observation, ProcState, ProgState, RegisterSpec, StateBounds,
-    StatePermutation, SymmetryGroup,
+    Algorithm, Invariant, Observation, ProcState, ProgState, RegisterSemantics, RegisterSpec,
+    StateBounds, StatePermutation, SymmetryGroup,
 };
 
-use crate::bakery::{LOCAL_J, LOCAL_MAX};
-use crate::layout::ticket_precedes;
+use crate::bakery::{Seat, LOCAL_J, LOCAL_MAX};
+use crate::bakery_pp::PlusPlus;
 use crate::pc;
 
 /// Stride between the pc blocks of consecutive tree levels.
@@ -151,9 +154,19 @@ impl TreeBakerySpec {
         self.node_index(level, node) * 2 * self.arity + self.arity + slot
     }
 
-    /// The pc at which process enters level `level`'s L1 scan.
-    fn level_entry_pc(level: usize) -> u32 {
-        (level as u32 + 1) * LEVEL_STRIDE + pc::L1_SCAN
+    /// Process `pid`'s seat at `level`: its child slot of the node on its
+    /// path, over that node's register block and the level's pc block.
+    fn seat(&self, pid: usize, level: usize) -> Seat {
+        let (node, slot) = self.position(pid, level);
+        Seat {
+            pid,
+            me: slot,
+            width: self.arity,
+            regs: self.choosing_idx(level, node, 0),
+            pc_base: (level as u32 + 1) * LEVEL_STRIDE,
+            bound: self.bound,
+            semantics: RegisterSemantics::Atomic,
+        }
     }
 
     /// The critical-section pc.
@@ -272,175 +285,43 @@ impl Algorithm for TreeBakerySpec {
         )
     }
 
-    #[allow(clippy::too_many_lines)]
     fn successors(&self, state: &ProgState, pid: usize, out: &mut Vec<ProgState>) {
         if state.is_crashed(pid) || !self.active[pid] {
             return;
         }
-        let k = self.arity;
         let cs = self.cs_pc();
         let pc_value = state.pc(pid);
 
-        // Noncritical section: start trying at the leaf level.
-        if pc_value == pc::NCS {
-            let mut next = state.clone();
-            next.set_local(pid, LOCAL_J, 0);
-            next.set_local(pid, LOCAL_MAX, 0);
-            next.set_pc(pid, Self::level_entry_pc(0));
-            out.push(next);
-            return;
-        }
-
-        // Critical section: exit performs release step 0 (the root write).
-        if pc_value == cs {
-            let (node, slot) = self.position(pid, self.levels - 1);
-            let mut next = state.clone();
-            next.set_shared(self.number_idx(self.levels - 1, node, slot), 0);
-            next.set_pc(pid, if self.levels == 1 { pc::NCS } else { cs + 1 });
-            out.push(next);
-            return;
-        }
-
-        // Release steps i >= 1: clear number at level levels - 1 - i.
-        if pc_value > cs {
+        // Critical section and release steps: step i (the CS exit is step 0)
+        // clears `number` at level levels - 1 - i, root first.
+        if pc_value >= cs {
             let i = (pc_value - cs) as usize;
             let level = self.levels - 1 - i;
             let (node, slot) = self.position(pid, level);
             let mut next = state.clone();
             next.set_shared(self.number_idx(level, node, slot), 0);
-            next.set_pc(
-                pid,
-                if i + 1 == self.levels { pc::NCS } else { cs + i as u32 + 1 },
-            );
+            let released = i + 1 == self.levels;
+            next.set_pc(pid, if released { pc::NCS } else { pc_value + 1 });
             out.push(next);
             return;
         }
 
-        // Trying at some level: the Bakery++ program over that node.
-        let Some((level, phase)) = self.decode(pc_value) else {
-            return;
+        // Start trying at the leaf level, or try at some level: the Bakery++
+        // body over that level's node.
+        let (level, phase) = match self.decode(pc_value) {
+            Some(at) => at,
+            None if pc_value == pc::NCS => (0, pc::NCS),
+            None => return,
         };
-        let (node, slot) = self.position(pid, level);
-        let base = (level as u32 + 1) * LEVEL_STRIDE;
-        let j = state.local(pid, LOCAL_J) as usize;
-        let max = state.local(pid, LOCAL_MAX);
-        let read_number = |st: &ProgState, s: usize| st.read(self.number_idx(level, node, s));
-
-        match phase {
-            pc::L1_SCAN => {
-                if j >= k {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, 0);
-                    next.set_pc(pid, base + pc::SET_CHOOSING);
-                    out.push(next);
-                } else if read_number(state, j) >= self.bound {
-                    // Illegitimate situation in this node: restart the scan.
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, 0);
-                    out.push(next);
+        self.seat(pid, level)
+            .step::<PlusPlus>(state, phase, out, |next| {
+                // Node won: climb, or enter the critical section from the root.
+                if level + 1 == self.levels {
+                    next.set_pc(pid, cs);
                 } else {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                    out.push(next);
+                    self.seat(pid, level + 1).enter(next);
                 }
-            }
-            pc::SET_CHOOSING => {
-                let mut next = state.clone();
-                next.set_shared(self.choosing_idx(level, node, slot), 1);
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_local(pid, LOCAL_MAX, 0);
-                next.set_pc(pid, base + pc::COMPUTE_MAX);
-                out.push(next);
-            }
-            pc::COMPUTE_MAX => {
-                if j < k {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_MAX, max.max(read_number(state, j)));
-                    next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                    out.push(next);
-                } else {
-                    let mut next = state.clone();
-                    next.set_pc(pid, base + pc::WRITE_MAX);
-                    out.push(next);
-                }
-            }
-            pc::WRITE_MAX => {
-                let mut next = state.clone();
-                next.set_shared(self.number_idx(level, node, slot), max.min(self.bound));
-                next.set_pc(pid, base + pc::CHECK_BOUND);
-                out.push(next);
-            }
-            pc::CHECK_BOUND => {
-                let mut next = state.clone();
-                next.set_pc(
-                    pid,
-                    base + if max >= self.bound { pc::RESET_NUMBER } else { pc::WRITE_TICKET },
-                );
-                out.push(next);
-            }
-            pc::RESET_NUMBER => {
-                let mut next = state.clone();
-                next.set_shared(self.number_idx(level, node, slot), 0);
-                next.set_pc(pid, base + pc::RESET_CHOOSING);
-                out.push(next);
-            }
-            pc::RESET_CHOOSING => {
-                let mut next = state.clone();
-                next.set_shared(self.choosing_idx(level, node, slot), 0);
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_pc(pid, base + pc::L1_SCAN);
-                out.push(next);
-            }
-            pc::WRITE_TICKET => {
-                debug_assert!(max < self.bound);
-                let mut next = state.clone();
-                next.set_shared(self.number_idx(level, node, slot), max + 1);
-                next.set_pc(pid, base + pc::CLEAR_CHOOSING);
-                out.push(next);
-            }
-            pc::CLEAR_CHOOSING => {
-                let mut next = state.clone();
-                next.set_shared(self.choosing_idx(level, node, slot), 0);
-                next.set_local(pid, LOCAL_J, 0);
-                next.set_pc(pid, base + pc::SCAN_CHOOSING);
-                out.push(next);
-            }
-            pc::SCAN_CHOOSING => {
-                if j == slot {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                    out.push(next);
-                } else if j >= k {
-                    // Node won: climb, or enter the critical section.
-                    let mut next = state.clone();
-                    if level + 1 == self.levels {
-                        next.set_pc(pid, self.cs_pc());
-                    } else {
-                        next.set_local(pid, LOCAL_J, 0);
-                        next.set_local(pid, LOCAL_MAX, 0);
-                        next.set_pc(pid, Self::level_entry_pc(level + 1));
-                    }
-                    out.push(next);
-                } else if state.read(self.choosing_idx(level, node, j)) == 0 {
-                    let mut next = state.clone();
-                    next.set_pc(pid, base + pc::SCAN_NUMBER);
-                    out.push(next);
-                }
-                // choosing[j] == 1: blocked, no successor from this phase.
-            }
-            pc::SCAN_NUMBER => {
-                let my_number = read_number(state, slot);
-                let other = read_number(state, j);
-                if other == 0 || !ticket_precedes(other, j, my_number, slot) {
-                    let mut next = state.clone();
-                    next.set_local(pid, LOCAL_J, (j + 1) as u64);
-                    next.set_pc(pid, base + pc::SCAN_CHOOSING);
-                    out.push(next);
-                }
-                // Smaller (number, slot) ahead of us: blocked.
-            }
-            _ => {}
-        }
+            });
     }
 
     fn in_critical_section(&self, state: &ProgState, pid: usize) -> bool {
@@ -558,19 +439,8 @@ impl Algorithm for TreeBakerySpec {
         if before == cs && after != cs {
             return Some(Observation::ExitCs { pid });
         }
-        if let Some((level, phase)) = self.decode(before) {
-            let (node, slot) = self.position(pid, level);
-            if phase == pc::WRITE_TICKET {
-                return Some(Observation::TicketTaken {
-                    pid,
-                    number: next.read(self.number_idx(level, node, slot)),
-                });
-            }
-            if phase == pc::RESET_CHOOSING {
-                return Some(Observation::OverflowAvoided { pid });
-            }
-        }
-        None
+        let (level, _) = self.decode(before)?;
+        self.seat(pid, level).observe(prev, next)
     }
 }
 
