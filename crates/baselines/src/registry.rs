@@ -14,7 +14,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bakery_core::registers::OverflowPolicy;
 use bakery_core::{AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery};
 
 use crate::{
@@ -99,11 +98,7 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
             } else {
                 bakery_core::DEFAULT_BOUND
             };
-            Arc::new(BakeryLock::with_bound_and_policy(
-                n,
-                bound,
-                OverflowPolicy::Wrap,
-            ))
+            Arc::new(BakeryLock::with_bound(n, bound))
         },
     },
     AlgorithmEntry {

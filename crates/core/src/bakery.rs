@@ -24,8 +24,8 @@
 //! register bound explicit: with the default bound (`u64::MAX`) it behaves as
 //! the textbook algorithm, and with a small bound it exhibits exactly the
 //! failure the paper's Section 3 predicts — the ticket `1 + maximum(...)`
-//! eventually exceeds `M` and the configured [`OverflowPolicy`] (machine
-//! wrap-around by default) silently corrupts the ordering, which can violate
+//! eventually exceeds `M` and its doorway's [`OverflowPolicy`] (machine
+//! wrap-around) silently corrupts the ordering, which can violate
 //! mutual exclusion.  Experiments **E1** and **E2** demonstrate both halves.
 //!
 //! Besides the blocking [`RawMutexAlgorithm::acquire`] path the lock exposes the
@@ -53,6 +53,8 @@ pub trait Doorway: Sized {
     /// (Bakery++'s guard watches every register; the classic doorway has
     /// none).
     const GUARDED: bool;
+    /// What a `number` store above the bound `M` does.
+    const OVERFLOW: OverflowPolicy;
     /// One pass through the doorway for `pid` (already range-checked).
     fn pass(lock: &Bakery<Self>, pid: usize) -> DoorwayOutcome;
 }
@@ -88,6 +90,9 @@ pub struct Classic;
 impl Doorway for Classic {
     const NAME: &'static str = "bakery";
     const GUARDED: bool = false;
+    /// Wrap, as fixed-width machine registers do: the paper's Section 3
+    /// failure.
+    const OVERFLOW: OverflowPolicy = OverflowPolicy::Wrap;
 
     /// The classic algorithm has no guard, so this never blocks and never
     /// resets; the only non-`Ticket` outcome is
@@ -103,7 +108,7 @@ impl Doorway for Classic {
         fence(Ordering::SeqCst); // mem: doorway-dekker.choosing
         let max = lock.file.packed().max_number();
         // `max + 1` may exceed the register bound; the register applies the
-        // configured policy and records the overflow.  This is the exact
+        // wrap policy and records the overflow.  This is the exact
         // failure point the paper's Section 3 identifies.
         let attempted = max.saturating_add(1);
         let event = lock.file.write_number(pid, attempted, &lock.stats);
@@ -133,44 +138,28 @@ impl BakeryLock {
     /// (64-bit) ticket registers.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_bound_and_policy(n, DEFAULT_BOUND, OverflowPolicy::Wrap)
+        Self::with_bound(n, DEFAULT_BOUND)
     }
 
     /// Creates a Bakery lock whose ticket registers are bounded by `bound`
     /// and wrap on overflow — the behaviour of real machine registers.
     #[must_use]
     pub fn with_bound(n: usize, bound: u64) -> Self {
-        Self::with_bound_and_policy(n, bound, OverflowPolicy::Wrap)
-    }
-
-    /// Creates a Bakery lock with an explicit bound and overflow policy.
-    #[must_use]
-    pub fn with_bound_and_policy(n: usize, bound: u64, policy: OverflowPolicy) -> Self {
-        Self::with_config_and_strategy(n, bound, policy, crate::wait::default_strategy())
+        Self::with_config_and_strategy(n, bound, crate::wait::default_strategy())
     }
 
     /// Creates a Bakery lock with an explicit [`WaitStrategy`] for its
-    /// `L2`/`L3` wait loops (on top of [`Self::with_bound_and_policy`]).
+    /// `L2`/`L3` wait loops (on top of [`Self::with_bound`]).
     #[must_use]
-    pub fn with_config_and_strategy(
-        n: usize,
-        bound: u64,
-        policy: OverflowPolicy,
-        strategy: Arc<dyn WaitStrategy>,
-    ) -> Self {
-        Self::from_parts(n, bound, policy, strategy)
+    pub fn with_config_and_strategy(n: usize, bound: u64, strategy: Arc<dyn WaitStrategy>) -> Self {
+        Self::from_parts(n, bound, strategy)
     }
 }
 
 impl<D: Doorway> Bakery<D> {
-    pub(crate) fn from_parts(
-        n: usize,
-        bound: u64,
-        policy: OverflowPolicy,
-        strategy: Arc<dyn WaitStrategy>,
-    ) -> Self {
+    pub(crate) fn from_parts(n: usize, bound: u64, strategy: Arc<dyn WaitStrategy>) -> Self {
         Self {
-            file: RegisterFile::new(n, bound, policy),
+            file: RegisterFile::new(n, bound, D::OVERFLOW),
             slots: SlotAllocator::new(n),
             stats: LockStats::new(),
             waits: WaitHandle::new(strategy),

@@ -74,6 +74,10 @@ pub struct PlusPlus;
 impl Doorway for PlusPlus {
     const NAME: &'static str = "bakery++";
     const GUARDED: bool = true;
+    /// Panic: the Theorem says Bakery++ never asks a register to store a
+    /// value above `M`, so such a store would be a bug in this crate and
+    /// gets the loudest possible failure.
+    const OVERFLOW: OverflowPolicy = OverflowPolicy::Panic;
 
     /// Outcomes:
     /// * [`DoorwayOutcome::Blocked`] — the `L1` guard saw a register `≥ M`;
@@ -158,10 +162,7 @@ impl BakeryPlusPlusLock {
     #[must_use]
     pub fn with_bound_and_strategy(n: usize, bound: u64, strategy: Arc<dyn WaitStrategy>) -> Self {
         assert!(bound >= 1, "the register bound M must be at least 1");
-        // The Panic policy documents the Theorem: if Bakery++ ever asked the
-        // register file to store a value above M, that would be a bug in this
-        // crate and we want the loudest possible failure.
-        Self::from_parts(n, bound, OverflowPolicy::Panic, strategy)
+        Self::from_parts(n, bound, strategy)
     }
 
     /// [`BakeryPlusPlusLock::with_bound_and_strategy`] under the signature

@@ -12,8 +12,9 @@
 //!   enforces with [`Slot`] ownership tokens;
 //! * registers are **bounded**: a register created with bound `M` can never
 //!   hold a value above `M`, and any attempt to store a larger value is an
-//!   *overflow* which is counted and then saturated, wrapped or turned into a
-//!   panic depending on the configured [`OverflowPolicy`];
+//!   *overflow* which is counted and then wrapped (the classic Bakery, as
+//!   machine registers do) or turned into a panic (Bakery++, whose Theorem
+//!   rules it out), as each doorway's [`OverflowPolicy`] fixes;
 //! * the classic [`BakeryLock`] exhibits exactly the
 //!   failure mode the paper's Section 3 describes once its registers are
 //!   bounded, while [`BakeryPlusPlusLock`]
@@ -54,8 +55,7 @@
 //! | [`session`] | dynamic membership: pid-slot leasing with RAII [`Session`]s |
 //! | [`asession`] | async session clients: cancellation-safe `attach().await` / `lock().await` |
 //! | [`adaptive`] | [`AdaptiveBakery`]: flat Bakery++ ⇄ tree round-trip migration under load |
-//! | [`wait`] | pluggable wait strategies (spin / yield / park) behind every busy-wait |
-//! | [`backoff`] | spin/yield backoff, the [`wait::Spin`] baseline discipline |
+//! | [`wait`] | pluggable wait strategies (spin / park) behind every busy-wait, and the per-episode spin-then-yield [`WaitToken`] |
 //! | [`stats`] | lock statistics (overflows, resets, doorway waits, fast-path hits, …) |
 //!
 //! ## The packed snapshot plane
@@ -115,7 +115,6 @@
 
 pub mod adaptive;
 pub mod asession;
-pub mod backoff;
 pub mod bakery;
 pub mod bakery_pp;
 pub mod guard;
@@ -146,7 +145,7 @@ pub use stats::LockStats;
 pub use asession::{AttachBatchFuture, AttachFuture, SessionLockFuture};
 pub use ticket::{Ticket, TicketOrder};
 pub use tree::{TreeBakery, DEFAULT_TREE_ARITY};
-pub use wait::{Park, SiteKind, Spin, WaitHandle, WaitSite, WaitStrategy, WaitToken, Yield};
+pub use wait::{Park, SiteKind, Spin, WaitHandle, WaitSite, WaitStrategy, WaitToken};
 
 /// Convenience prelude importing the traits and the two headline locks.
 pub mod prelude {

@@ -5,7 +5,7 @@
 //! [`RegisterFile`] makes that machine limit explicit: every `number` store
 //! goes through a bound check, and what happens on overflow is decided by an
 //! [`OverflowPolicy`].  The classic Bakery lock uses the policy to *emulate*
-//! what a real machine would do (wrap or saturate), which is exactly how the
+//! what a real machine would do (wrap), which is exactly how the
 //! Section 3 failure scenario is reproduced; Bakery++ never triggers the
 //! policy at all, which experiment **E1/E2** verify.
 //!
@@ -33,8 +33,6 @@ pub enum OverflowPolicy {
     /// is violated (experiment **E1**).
     #[default]
     Wrap,
-    /// Clamp the stored value to `M`.
-    Saturate,
     /// Panic immediately.  Useful in tests that assert overflow freedom.
     Panic,
 }
@@ -54,7 +52,6 @@ impl OverflowPolicy {
                     value % (bound + 1)
                 }
             }
-            OverflowPolicy::Saturate => bound,
             OverflowPolicy::Panic => panic!(
                 "register overflow: attempted to store {value} in a register bounded by {bound}"
             ),
@@ -66,7 +63,6 @@ impl fmt::Display for OverflowPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             OverflowPolicy::Wrap => "wrap",
-            OverflowPolicy::Saturate => "saturate",
             OverflowPolicy::Panic => "panic",
         };
         f.write_str(name)
@@ -225,11 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_saturate_clamps() {
-        assert_eq!(OverflowPolicy::Saturate.resolve(1000, 255), 255);
-    }
-
-    #[test]
     #[should_panic(expected = "register overflow")]
     fn policy_panic_panics() {
         let _ = OverflowPolicy::Panic.resolve(256, 255);
@@ -238,7 +229,6 @@ mod tests {
     #[test]
     fn policy_display_names() {
         assert_eq!(OverflowPolicy::Wrap.to_string(), "wrap");
-        assert_eq!(OverflowPolicy::Saturate.to_string(), "saturate");
         assert_eq!(OverflowPolicy::Panic.to_string(), "panic");
     }
 
@@ -373,16 +363,14 @@ mod tests {
     }
 
     proptest! {
-        /// Regardless of the (non-panicking) policy, the stored value never
+        /// Under the (non-panicking) wrap policy the stored value never
         /// exceeds the bound: the register is genuinely bounded hardware.
         #[test]
         fn stored_value_never_exceeds_bound(
             bound in 1u64..1000,
             value in 0u64..100_000,
-            policy_idx in 0usize..2,
         ) {
-            let policy = [OverflowPolicy::Wrap, OverflowPolicy::Saturate][policy_idx];
-            let file = RegisterFile::new(1, bound, policy);
+            let file = RegisterFile::new(1, bound, OverflowPolicy::Wrap);
             let _ = file.write_number(0, value, &LockStats::new());
             prop_assert!(file.read_number(0) <= bound);
         }
@@ -448,12 +436,11 @@ mod tests {
         #[test]
         fn policy_resolves_before_the_lane_write_on_exact_boundary_bounds(
             bound_idx in 0usize..5,
-            policy_idx in 0usize..2,
             pid in 0usize..40,
             overshoot in 1u64..4,
         ) {
             let bound = [254u64, 255, 256, 65_535, 65_536][bound_idx];
-            let policy = [OverflowPolicy::Wrap, OverflowPolicy::Saturate][policy_idx];
+            let policy = OverflowPolicy::Wrap;
             // 40 slots force narrow lanes at the u8/u16 boundaries, so the
             // doorway's transient `bound + overshoot` would corrupt the
             // neighbouring lanes of the shared word if it ever reached the

@@ -19,7 +19,7 @@ pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering}
 ///
 /// Under loom every busy-wait iteration must yield so the model checker can
 /// switch threads; under a real OS we use a spin hint first and leave the
-/// heavier `thread::yield_now` decision to [`crate::backoff::Backoff`].
+/// heavier `thread::yield_now` decision to [`crate::wait::WaitToken::snooze`].
 #[inline]
 pub fn spin_hint() {
     #[cfg(loom)]

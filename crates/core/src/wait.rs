@@ -1,5 +1,5 @@
 //! Pluggable wait strategies: the one place every busy-wait in the suite
-//! parks, yields or spins.
+//! parks or spins.
 //!
 //! The Bakery family is specified entirely in terms of busy-waiting on
 //! single-writer registers (the paper's `L1`/`L2`/`L3` loops), and so are the
@@ -8,10 +8,8 @@
 //! while its predicate is false is *not* part of any of those protocols, so
 //! this module factors it out behind [`WaitStrategy`]:
 //!
-//! * [`Spin`] — the historical behaviour: exponential spin-then-yield via
-//!   [`Backoff`].  The baseline every benchmark compares against.
-//! * [`Yield`] — yield to the OS scheduler on every round.  The polite
-//!   oversubscription strategy when parking is unavailable.
+//! * [`Spin`] — the historical behaviour: exponential spin-then-yield
+//!   ([`WaitToken::snooze`]).  The baseline every benchmark compares against.
 //! * [`Park`] — a futex-style waiter table: after a short spin phase the
 //!   waiter registers itself under the [`WaitSite`] it is watching and parks
 //!   its thread (or records its [`Waker`]); the writer whose store flips the
@@ -50,16 +48,14 @@
 //! throughput comparisons in experiment **E7** measure the protocols, not the
 //! waiting strategy: a strategy changes *scheduling*, never protocol
 //! outcomes, which the conformance suite checks by replaying the same
-//! workload under all three strategies.
+//! workload under both strategies.
 
 use std::fmt;
-use crate::sync::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{self, fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::task::Waker;
 use std::thread::{self, Thread};
 use std::time::Duration;
-
-use crate::backoff::Backoff;
 
 /// What kind of predicate a [`WaitSite`] names.  Part of the site key, so
 /// waiters on different planes of the same lock never alias.
@@ -109,29 +105,37 @@ impl WaitSite {
 
 /// Per-episode escalation state, owned by the waiter.
 ///
-/// Wraps the classic [`Backoff`] and counts how often the episode actually
-/// parked, so tests can assert that a parked waiter wastes a bounded number
-/// of rounds where a spinner would burn millions.
+/// Escalates from `spin_loop` hints in doubling batches to an OS
+/// `yield_now` per round: a bare `loop {}` around an atomic load saturates
+/// the memory subsystem and starves the writer whose store the reader waits
+/// for.  The token also counts how often the episode actually parked, so
+/// tests can assert that a parked waiter wastes a bounded number of rounds
+/// where a spinner would burn millions.
 #[derive(Debug, Default)]
 pub struct WaitToken {
-    backoff: Backoff,
+    /// Exponent of the current spin batch (capped at `YIELD_LIMIT`).
+    step: u32,
+    /// Rounds since creation or the last [`WaitToken::reset`].
+    rounds: u64,
     parks: u64,
 }
 
 impl WaitToken {
+    /// Doubling steps spent purely spinning before yielding.
+    const SPIN_LIMIT: u32 = 6;
+    /// Cap on the exponent, so the spin batch length stays bounded.
+    const YIELD_LIMIT: u32 = 10;
+
     /// A fresh token in the "not yet waited" state.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            backoff: Backoff::new(),
-            parks: 0,
-        }
+        Self::default()
     }
 
     /// Rounds waited since creation or the last [`WaitToken::reset`].
     #[must_use]
     pub fn rounds(&self) -> u64 {
-        self.backoff.rounds()
+        self.rounds
     }
 
     /// Times this episode actually parked its thread.
@@ -143,18 +147,29 @@ impl WaitToken {
     /// True once the episode has escalated past pure spinning.
     #[must_use]
     pub fn is_yielding(&self) -> bool {
-        self.backoff.is_yielding()
+        self.step > Self::SPIN_LIMIT
     }
 
     /// One spin/yield round (strategy implementations call this).
     pub fn snooze(&mut self) {
-        self.backoff.snooze();
+        self.rounds += 1;
+        if self.step <= Self::SPIN_LIMIT {
+            for _ in 0..(1u32 << self.step) {
+                sync::spin_hint();
+            }
+        } else {
+            sync::yield_now();
+        }
+        if self.step < Self::YIELD_LIMIT {
+            self.step += 1;
+        }
     }
 
     /// Re-arms the episode after progress (e.g. between the `L2` and `L3`
     /// loops of one contender): escalation and round count restart.
     pub fn reset(&mut self) {
-        self.backoff.reset();
+        self.step = 0;
+        self.rounds = 0;
     }
 
     /// Records one park (strategy implementations call this).
@@ -168,7 +183,7 @@ impl WaitToken {
 /// Implementations must be cheap to share: one instance typically serves a
 /// whole lock (or a whole tree of locks) behind an `Arc`.
 pub trait WaitStrategy: Send + Sync + fmt::Debug {
-    /// Short name for reports ("spin", "yield", "park").
+    /// Short name for reports ("spin", "park").
     fn name(&self) -> &'static str;
 
     /// One blocking round of the episode `token` on `site`.
@@ -211,7 +226,8 @@ pub trait WaitStrategy: Send + Sync + fmt::Debug {
     }
 }
 
-/// The historical spin-then-yield behaviour ([`Backoff`]), as a strategy.
+/// The historical spin-then-yield behaviour ([`WaitToken::snooze`]), as a
+/// strategy.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Spin;
 
@@ -227,29 +243,6 @@ impl WaitStrategy for Spin {
         _still_waiting: &mut dyn FnMut() -> bool,
     ) {
         token.snooze();
-    }
-
-    fn notify(&self, _site: WaitSite) {}
-}
-
-/// Yield to the OS scheduler on every round.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Yield;
-
-impl WaitStrategy for Yield {
-    fn name(&self) -> &'static str {
-        "yield"
-    }
-
-    fn wait(
-        &self,
-        _site: WaitSite,
-        token: &mut WaitToken,
-        _still_waiting: &mut dyn FnMut() -> bool,
-    ) {
-        // Count the round, then always hand the timeslice back.
-        token.snooze();
-        std::thread::yield_now();
     }
 
     fn notify(&self, _site: WaitSite) {}
@@ -609,19 +602,18 @@ pub fn new_namespace() -> u64 {
     NAMESPACE.fetch_add(1, Ordering::Relaxed) // mem: id-alloc
 }
 
-/// Builds a strategy by name: `"spin"`, `"yield"` or `"park"`.
+/// Builds a strategy by name: `"spin"` or `"park"`.
 #[must_use]
 pub fn strategy_by_name(name: &str) -> Option<Arc<dyn WaitStrategy>> {
     match name.to_ascii_lowercase().as_str() {
         "spin" => Some(Arc::new(Spin)),
-        "yield" => Some(Arc::new(Yield)),
         "park" => Some(Arc::new(Park::new())),
         _ => None,
     }
 }
 
 /// The process-wide default strategy, chosen once from the
-/// `BAKERY_WAIT_STRATEGY` environment variable (`spin` | `yield` | `park`,
+/// `BAKERY_WAIT_STRATEGY` environment variable (`spin` | `park`,
 /// default `spin` — the historical behaviour, so existing benchmarks are
 /// unchanged unless asked).
 #[must_use]
@@ -654,20 +646,70 @@ mod tests {
     }
 
     #[test]
-    fn spin_and_yield_complete_a_wait() {
-        for strategy in [strategy_by_name("spin").unwrap(), strategy_by_name("yield").unwrap()] {
-            let h = WaitHandle::new(strategy);
-            let flag = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    std::thread::sleep(Duration::from_millis(5));
-                    flag.store(true, Ordering::SeqCst);
-                    h.notify(flag_site(&h));
-                });
-                let token = wait_for_flag(&h, &flag);
-                assert!(token.rounds() > 0);
-            });
+    fn token_starts_spinning() {
+        let token = WaitToken::new();
+        assert_eq!(token.rounds(), 0);
+        assert!(!token.is_yielding());
+    }
+
+    #[test]
+    fn token_escalates_to_yielding() {
+        let mut token = WaitToken::new();
+        for _ in 0..=(WaitToken::SPIN_LIMIT + 1) {
+            token.snooze();
         }
+        assert!(token.is_yielding());
+        assert_eq!(token.rounds(), u64::from(WaitToken::SPIN_LIMIT) + 2);
+    }
+
+    #[test]
+    fn token_reset_returns_to_spinning() {
+        let mut token = WaitToken::new();
+        for _ in 0..20 {
+            token.snooze();
+        }
+        assert!(token.is_yielding());
+        token.reset();
+        assert!(!token.is_yielding());
+        // A reset starts a new wait episode: the round count restarts with
+        // the escalation state ("since creation or the last reset").
+        assert_eq!(token.rounds(), 0);
+        token.snooze();
+        assert_eq!(token.rounds(), 1);
+    }
+
+    #[test]
+    fn token_step_saturates_at_yield_limit() {
+        let mut token = WaitToken::new();
+        for _ in 0..1000 {
+            token.snooze();
+        }
+        assert!(token.is_yielding());
+        assert_eq!(token.rounds(), 1000);
+    }
+
+    #[test]
+    fn token_default_equals_new() {
+        let a = WaitToken::default();
+        let b = WaitToken::new();
+        assert_eq!(a.rounds(), b.rounds());
+        assert_eq!(a.is_yielding(), b.is_yielding());
+        assert_eq!(a.parks(), b.parks());
+    }
+
+    #[test]
+    fn spin_completes_a_wait() {
+        let h = WaitHandle::new(strategy_by_name("spin").unwrap());
+        let flag = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                flag.store(true, Ordering::SeqCst);
+                h.notify(flag_site(&h));
+            });
+            let token = wait_for_flag(&h, &flag);
+            assert!(token.rounds() > 0);
+        });
     }
 
     #[test]
@@ -757,11 +799,11 @@ mod tests {
 
     #[test]
     fn strategy_names_round_trip() {
-        for name in ["spin", "yield", "park"] {
+        for name in ["spin", "park"] {
             assert_eq!(strategy_by_name(name).unwrap().name(), name);
         }
         assert!(strategy_by_name("nope").is_none());
-        assert!(["spin", "yield", "park"].contains(&default_strategy().name()));
+        assert!(["spin", "park"].contains(&default_strategy().name()));
     }
 
     #[test]

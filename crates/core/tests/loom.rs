@@ -431,14 +431,8 @@ fn loom_park_notify_drains_every_waiter() {
 #[test]
 fn loom_bakery_park_strategy_two_threads_timeout_free() {
     use bakery_core::wait::Park;
-    use bakery_core::registers::OverflowPolicy;
     check_two_thread_mutex(|| {
-        BakeryLock::with_config_and_strategy(
-            2,
-            u64::MAX,
-            OverflowPolicy::Wrap,
-            Arc::new(Park::with_timeout(None)),
-        )
+        BakeryLock::with_config_and_strategy(2, u64::MAX, Arc::new(Park::with_timeout(None)))
     });
 }
 

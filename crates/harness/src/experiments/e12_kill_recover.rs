@@ -12,12 +12,12 @@
 //! ## The crash-point injector
 //!
 //! Crashes are injected at **named sites** with a **fixed schedule** — no
-//! RNG anywhere (the schedule is a [`FaultPlan::at_steps`] plan keyed by
-//! client index, the sim crate's deterministic constructor), so a run
-//! replays bit for bit.  A "crash" is a client thread abandoning its seat
-//! without detaching (`mem::forget` of the session — and, for the in-CS
-//! site, of the guard), which is exactly what a killed process looks like
-//! to the plane: a leased seat whose holder stops heartbeating.  The sites,
+//! RNG anywhere ([`KillConfig::site_of`] is plain arithmetic on the
+//! round-local client index), so a run replays bit for bit.  A "crash" is a
+//! client thread abandoning its seat without detaching (`mem::forget` of the
+//! session — and, for the in-CS site, of the guard), which is exactly what a
+//! killed process looks like to the plane: a leased seat whose holder stops
+//! heartbeating.  The sites,
 //! named after the protocol point the victim dies at:
 //!
 //! | site | dead state left behind | recovery path |
@@ -71,7 +71,6 @@ use bakery_core::{
     AdaptiveBakery, BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery,
     DEFAULT_PP_BOUND,
 };
-use bakery_sim::FaultPlan;
 
 use bakery_json::Value;
 
@@ -129,9 +128,8 @@ pub struct KillConfig {
     pub workers: usize,
     /// Busy-work units inside each critical section.
     pub cs_work: u64,
-    /// `Some(p)`: every `p`-th client of a round is a victim (site cycling
-    /// through the churn sites `doorway`, `release` on the fixed schedule).  `None`: the
-    /// crash-free baseline.
+    /// `Some(p)`: every `p`-th client of a round is a victim, its site
+    /// given by [`KillConfig::site_of`].  `None`: the crash-free baseline.
     pub crash_period: Option<usize>,
 }
 
@@ -183,31 +181,16 @@ impl KillConfig {
         self.rounds * self.clients_per_round
     }
 
-    /// The fixed, RNG-free kill schedule for one round: a
-    /// [`FaultPlan::at_steps`] plan keyed by the round-local client index,
-    /// whose "victim" field selects the churn site (`doorway`, `release`).
+    /// The fixed, RNG-free kill schedule: where round-local client `client`
+    /// dies, or `None` if it lives.  Every `p`-th client (0, p, 2p, …) is a
+    /// victim, and the victims' sites alternate `doorway`, `release`, ….
     #[must_use]
-    pub fn round_schedule(&self) -> FaultPlan {
-        match self.crash_period {
-            None => FaultPlan::none(),
-            Some(period) => FaultPlan::at_steps(
-                (0..self.clients_per_round)
-                    .step_by(period)
-                    .enumerate()
-                    .map(|(i, client)| (client as u64, i % CHURN_SITES.len())),
-            ),
-        }
+    pub fn site_of(&self, client: usize) -> Option<CrashSite> {
+        let period = self.crash_period?;
+        client
+            .is_multiple_of(period)
+            .then(|| CHURN_SITES[(client / period) % CHURN_SITES.len()])
     }
-}
-
-/// Expands the round schedule into a per-client site lookup by replaying
-/// the deterministic injector once, step for step.
-fn expand_schedule(config: &KillConfig) -> Vec<Option<CrashSite>> {
-    let plan = config.round_schedule();
-    let mut injector = plan.injector(CHURN_SITES.len());
-    (0..config.clients_per_round)
-        .map(|_| injector.maybe_crash().map(|site| CHURN_SITES[site]))
-        .collect()
 }
 
 /// Latency samples in nanoseconds, reported as mean/max.
@@ -335,7 +318,9 @@ pub fn run_kill(lock: Arc<dyn RawMutexAlgorithm>, config: &KillConfig) -> KillRe
     // Finite lease: one tick.  The clock only moves at round barriers, so a
     // live seat (deadline = clock + 1 > clock) can never expire mid-churn.
     let plane = SessionPlane::with_lease(Arc::clone(&lock), 1);
-    let site_of = expand_schedule(config);
+    let victims_per_round = (0..config.clients_per_round)
+        .filter(|&client| config.site_of(client).is_some())
+        .count() as u64;
 
     let completed = AtomicU64::new(0);
     let total_cs = AtomicU64::new(0);
@@ -381,7 +366,7 @@ pub fn run_kill(lock: Arc<dyn RawMutexAlgorithm>, config: &KillConfig) -> KillRe
                     if leased[session.pid()].fetch_add(1, Ordering::SeqCst) != 0 { // mem: harness-probe
                         violations.fetch_add(1, Ordering::SeqCst); // mem: harness-probe
                     }
-                    let crash = site_of[client];
+                    let crash = config.site_of(client);
                     if crash != Some(CrashSite::Doorway) {
                         serve_cs(&session);
                     }
@@ -400,7 +385,7 @@ pub fn run_kill(lock: Arc<dyn RawMutexAlgorithm>, config: &KillConfig) -> KillRe
             }
         });
         churn_elapsed += begun.elapsed();
-        injected_crashes += site_of.iter().flatten().count() as u64;
+        injected_crashes += victims_per_round;
 
         // Round barrier: every survivor has detached; only victims' seats
         // are still leased.  Fire the detector and sweep them.
@@ -641,8 +626,9 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
     }
     churn.push_note(
-        "Victims are real threads abandoning their seats on a fixed FaultPlan::at_steps \
-         schedule (doorway/release sites in the parallel churn, an in-CS kill per round). \
+        "Victims are real threads abandoning their seats on a fixed schedule (every p-th \
+         client of a round, doorway/release sites alternating in the parallel churn, an \
+         in-CS kill per round). \
          The reaper recovers every dead seat — idle recycles for clean deaths, quarantine \
          + explicit hand-back for dead CS holders — and the wedged waiter's unblock time \
          is the measured recovery latency.  Zero aliasing and balanced recovery books are \
@@ -677,11 +663,47 @@ pub fn run(quick: bool) -> Vec<Table> {
 mod tests {
     use super::*;
 
+    /// One round's per-client sites.
+    fn schedule(config: &KillConfig) -> Vec<Option<CrashSite>> {
+        (0..config.clients_per_round)
+            .map(|client| config.site_of(client))
+            .collect()
+    }
+
+    /// The pinned per-client sites of every swept period (24 clients per
+    /// round in both modes): the victims and their sites; every other
+    /// client lives.
+    fn pinned(period: Option<usize>) -> Vec<Option<CrashSite>> {
+        use CrashSite::{Doorway as D, Release as R};
+        let victims: &[(usize, CrashSite)] = match period {
+            None => &[],
+            Some(12) => &[(0, D), (12, R)],
+            Some(6) => &[(0, D), (6, R), (12, D), (18, R)],
+            Some(4) => &[(0, D), (4, R), (8, D), (12, R), (16, D), (20, R)],
+            Some(p) => panic!("period {p} is not swept"),
+        };
+        let mut sites = vec![None; 24];
+        for &(client, site) in victims {
+            sites[client] = Some(site);
+        }
+        sites
+    }
+
     #[test]
     fn schedule_is_deterministic_and_respects_the_period() {
+        for quick in [true, false] {
+            for period in [Some(12), Some(6), Some(4)] {
+                let config = KillConfig::standard(quick, period);
+                assert_eq!(
+                    schedule(&config),
+                    pinned(period),
+                    "quick {quick} period {period:?}"
+                );
+            }
+        }
         let config = KillConfig::standard(false, Some(4));
-        let sites = expand_schedule(&config);
-        assert_eq!(sites, expand_schedule(&config), "bit-for-bit replay");
+        let sites = schedule(&config);
+        assert_eq!(sites, schedule(&config), "bit-for-bit replay");
         let victims: Vec<usize> = sites
             .iter()
             .enumerate()
@@ -696,9 +718,11 @@ mod tests {
 
     #[test]
     fn baseline_schedule_is_empty() {
+        for quick in [true, false] {
+            assert_eq!(schedule(&KillConfig::standard(quick, None)), pinned(None));
+        }
         let config = KillConfig::standard(true, None);
-        assert!(expand_schedule(&config).iter().all(Option::is_none));
-        assert!(config.round_schedule().is_disabled());
+        assert!(schedule(&config).iter().all(Option::is_none));
     }
 
     #[test]

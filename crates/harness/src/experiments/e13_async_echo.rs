@@ -18,10 +18,9 @@
 //!
 //! The full run serves **10⁵ clients over ≤ 64 slots** (quick: 10⁴), once
 //! per wait strategy — `spin` (pending futures self-wake and re-poll: the
-//! executor queue *is* the spin loop), `yield` (same async path, thread
-//! waits yield), and `park` (pending futures cost one registered
-//! [`Waker`](std::task::Waker); seats wake them in `ATTACH_WAKE_BATCH`ed
-//! pulses).  Reported per strategy: sessions/sec, echoes/sec and the
+//! executor queue *is* the spin loop) and `park` (pending futures cost one
+//! registered [`Waker`](std::task::Waker); seats wake them in
+//! `ATTACH_WAKE_BATCH`ed pulses).  Reported per strategy: sessions/sec, echoes/sec and the
 //! attach-latency distribution (p50/p99/max).
 //!
 //! Two invariants are asserted **in-run**, mirroring E11:
@@ -44,7 +43,7 @@ use crate::report::{num, Table};
 use crate::workload::busy_work;
 
 /// The wait strategies E13 sweeps, in report order.
-pub const STRATEGIES: [&str; 3] = ["spin", "yield", "park"];
+pub const STRATEGIES: [&str; 2] = ["spin", "park"];
 
 /// One async-churn configuration: `clients` sessions served as futures
 /// through `slots` pids by `workers` executor threads.
@@ -102,7 +101,7 @@ impl EchoConfig {
 /// Outcome of one strategy's churn.
 #[derive(Debug)]
 pub struct EchoResult {
-    /// The wait strategy name ("spin" / "yield" / "park").
+    /// The wait strategy name ("spin" / "park").
     pub strategy: String,
     /// Client sessions completed (must equal the configured total).
     pub completed_sessions: u64,
@@ -318,7 +317,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         config.oversubscription()
     ));
     table.push_note(
-        "spin/yield pending futures re-poll through the executor queue; park pending \
+        "spin pending futures re-poll through the executor queue; park pending \
          futures cost one registered waker until a seat's wake pulse (notifies column)."
             .to_string(),
     );

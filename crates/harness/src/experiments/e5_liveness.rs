@@ -15,7 +15,7 @@
 //!   soon as the scheduler gives it cycles (the "perhaps having such an
 //!   incredibly slow process is equivalent to not having it" remark).
 
-use bakery_mc::liveness::starvation_report_where;
+use bakery_mc::liveness::starvation_report;
 use bakery_sim::{AdversarialScheduler, Algorithm, RunConfig, Simulator};
 use bakery_spec::{pc, BakeryPlusPlusSpec, BakerySpec};
 
@@ -42,9 +42,7 @@ pub fn starvation_cycle_table(quick: bool) -> Table {
 
     // Bakery++ slow process parked at L1 (the paper's scenario).
     let pp = BakeryPlusPlusSpec::new(3, 2);
-    let at_l1 = starvation_report_where(&pp, 2, max_states, |_, state| {
-        state.pc(2) == pc::L1_SCAN
-    });
+    let at_l1 = starvation_report(&pp, 2, max_states, 1, |_, state| state.pc(2) == pc::L1_SCAN);
     table.push_row(vec![
         "bakery++ (N=3, M=2)".into(),
         "parked at L1 (before doorway)".into(),
@@ -55,7 +53,7 @@ pub fn starvation_cycle_table(quick: bool) -> Table {
 
     // Bakery++ ticket holder below M: protected by FCFS.
     let pp2 = BakeryPlusPlusSpec::new(2, 4);
-    let holder = starvation_report_where(&pp2, 1, max_states, |alg, state| {
+    let holder = starvation_report(&pp2, 1, max_states, 1, |alg, state| {
         let ticket = state.read(2 + 1);
         alg.is_trying(state, 1)
             && ticket != 0
@@ -76,7 +74,7 @@ pub fn starvation_cycle_table(quick: bool) -> Table {
     // Its unbounded ticket space is infinite, so this row is always a
     // bounded verdict: evidence, not a proof.
     let classic = BakerySpec::new(2, 1_000_000);
-    let classic_holder = starvation_report_where(&classic, 1, max_states, |alg, state| {
+    let classic_holder = starvation_report(&classic, 1, max_states, 1, |alg, state| {
         alg.is_trying(state, 1) && state.read(2 + 1) != 0
     });
     table.push_row(vec![

@@ -206,8 +206,6 @@ pub struct ModelChecker<'a, A: Algorithm + ?Sized> {
     invariants: Vec<Invariant<A>>,
     max_states: usize,
     enable_crashes: bool,
-    stop_at_first_violation: bool,
-    check_deadlock: bool,
     symmetry: bool,
     threads: usize,
     #[cfg(feature = "spill")]
@@ -297,7 +295,6 @@ struct Engine<'a, A: Algorithm + ?Sized> {
     count: AtomicUsize,
     max_states: usize,
     enable_crashes: bool,
-    check_deadlock: bool,
     processes: usize,
 }
 
@@ -626,7 +623,7 @@ impl<'a, A: Algorithm + ?Sized> Engine<'a, A> {
                     out.scratch = successors;
                 }
 
-                if self.check_deadlock && !any_enabled {
+                if !any_enabled {
                     out.deadlocks.push(DeadlockHit {
                         key: words.to_vec(),
                         variant,
@@ -648,8 +645,6 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
             invariants: Vec::new(),
             max_states: 1_000_000,
             enable_crashes: false,
-            stop_at_first_violation: true,
-            check_deadlock: true,
             symmetry: false,
             threads: 1,
             #[cfg(feature = "spill")]
@@ -730,21 +725,6 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
         self
     }
 
-    /// Keep exploring after the first violation (collect all of them).
-    #[must_use]
-    pub fn collect_all_violations(mut self) -> Self {
-        self.stop_at_first_violation = false;
-        self
-    }
-
-    /// Disables deadlock reporting (useful for specs whose processes may
-    /// legitimately all block, which none of the shipped specs do).
-    #[must_use]
-    pub fn without_deadlock_check(mut self) -> Self {
-        self.check_deadlock = false;
-        self
-    }
-
     fn build_engine(&self) -> Engine<'_, A> {
         let codec = StateCodec::new(self.algorithm);
         let canon = if self.symmetry {
@@ -784,7 +764,6 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
             count: AtomicUsize::new(0),
             max_states: self.max_states,
             enable_crashes: self.enable_crashes,
-            check_deadlock: self.check_deadlock,
             processes: self.algorithm.processes(),
         }
     }
@@ -835,7 +814,7 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
                 });
             }
         }
-        if !report.violations.is_empty() && self.stop_at_first_violation {
+        if !report.violations.is_empty() {
             report.states = 1;
             report.canonical_states = 1;
             report.frontier_digest = digest;
@@ -844,7 +823,6 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
 
         let mut outs: Vec<WorkerOut> = (0..threads).map(|_| WorkerOut::new(stride)).collect();
         let mut depth: u32 = 0; // depth of the states in `frontier`
-        let mut stopped_by_finding = false;
 
         while !frontier.is_empty() {
             engine.clear_level_links();
@@ -894,45 +872,29 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
                 candidates.sort_by(|a, b| {
                     (&a.key, a.variant, a.invariant).cmp(&(&b.key, b.variant, b.invariant))
                 });
-                if self.stop_at_first_violation {
-                    let first = &candidates[0];
-                    let chosen: Vec<&Candidate> = candidates
-                        .iter()
-                        .filter(|c| c.key == first.key && c.variant == first.variant)
-                        .collect();
-                    for c in chosen {
-                        report.violations.push(Violation {
-                            invariant: self.invariants[c.invariant].name().to_string(),
-                            depth: depth as usize + 1,
-                            trace: self.rebuild_trace(&engine, c.id),
-                        });
-                    }
-                    stopped_by_finding = true;
-                } else {
-                    for c in &candidates {
-                        report.violations.push(Violation {
-                            invariant: self.invariants[c.invariant].name().to_string(),
-                            depth: depth as usize + 1,
-                            trace: self.rebuild_trace(&engine, c.id),
-                        });
-                    }
+                let first = &candidates[0];
+                for c in candidates
+                    .iter()
+                    .filter(|c| c.key == first.key && c.variant == first.variant)
+                {
+                    report.violations.push(Violation {
+                        invariant: self.invariants[c.invariant].name().to_string(),
+                        depth: depth as usize + 1,
+                        trace: self.rebuild_trace(&engine, c.id),
+                    });
                 }
             }
 
             // Deadlocks, in deterministic (depth, canonical code) order.
             let mut deadlocks: Vec<DeadlockHit> =
                 outs.iter_mut().flat_map(|o| o.deadlocks.drain(..)).collect();
-            if !deadlocks.is_empty() {
-                deadlocks.sort_by(|a, b| (&a.key, a.variant).cmp(&(&b.key, b.variant)));
-                for d in deadlocks {
-                    report.deadlocks.push(d.render);
-                }
-                if self.stop_at_first_violation {
-                    stopped_by_finding = true;
-                }
-            }
+            deadlocks.sort_by(|a, b| (&a.key, a.variant).cmp(&(&b.key, b.variant)));
+            report
+                .deadlocks
+                .extend(deadlocks.into_iter().map(|d| d.render));
 
-            if stopped_by_finding {
+            // The search stops at the first level with a finding.
+            if !report.violations.is_empty() || !report.deadlocks.is_empty() {
                 break;
             }
             let count = engine.count.load(Ordering::Relaxed); // mem: explorer-frontier

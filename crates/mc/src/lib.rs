@@ -24,11 +24,11 @@
 //!
 //! The liveness side of the paper's Section 6.3 discussion (a slow process can
 //! in principle be parked forever at `L1` by two fast processes) is covered by
-//! [`liveness::find_starvation_cycle`], which searches the reachable state
-//! graph for a cycle in which a chosen victim stays in its trying region while
-//! only the other processes move.  [`liveness::starvation_report`] returns the
-//! same search with an explicit `truncated` flag, so a "no cycle" answer from
-//! a budget-bounded graph is never mistaken for a proof.
+//! [`liveness::starvation_report`], which searches the reachable state graph
+//! for a cycle in which a chosen victim keeps waiting while only the other
+//! processes move.  Its report carries an explicit `truncated` flag, so a
+//! "no cycle" answer from a budget-bounded graph is never mistaken for a
+//! proof.
 //!
 //! ## The compact-state / symmetry plane
 //!
@@ -57,8 +57,4 @@ pub mod store;
 pub use canon::Canonicalizer;
 pub use code::{StateCode, StateCodec};
 pub use explore::{ExplorationReport, ModelChecker, TraceStep, Violation};
-pub use liveness::{
-    find_starvation_cycle, find_starvation_cycle_where, starvation_report,
-    starvation_report_where, starvation_report_where_with_threads,
-    starvation_report_with_threads, LivenessReport, StarvationWitness,
-};
+pub use liveness::{starvation_report, LivenessReport, StarvationWitness};

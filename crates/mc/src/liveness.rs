@@ -9,14 +9,12 @@
 //! reachable under an unfair scheduler, impossible to escape without a
 //! fairness assumption.
 //!
-//! [`starvation_report_where`] searches for exactly that witness under an
+//! [`starvation_report`] searches for exactly that witness under an
 //! arbitrary predicate and returns a [`LivenessReport`] that also says
 //! whether the underlying graph construction **covered the whole reachable
 //! state space or hit its budget**: a "no cycle" answer from a truncated
 //! graph is evidence, not a proof, and the experiment tables (E5) print it
-//! as a "bounded" verdict rather than an exhaustive one.  The
-//! [`find_starvation_cycle`] / [`find_starvation_cycle_where`] wrappers keep
-//! the original option-returning shape.
+//! as a "bounded" verdict rather than an exhaustive one.
 //!
 //! Finding a witness does not contradict the paper — Bakery itself already
 //! lacks a liveness guarantee, as Section 6.3 notes.  The interesting
@@ -32,13 +30,13 @@
 //! waiting predicate pins a concrete victim, which process relabelling would
 //! not preserve.
 //!
-//! The graph construction can run with several worker threads
-//! ([`starvation_report_where_with_threads`]): each BFS level is expanded in
-//! parallel (decode + successor enumeration + encode are the dominant cost
-//! and are pure), then the per-head results are **merged in head order** by
-//! one thread.  The merge replays exactly the insertion sequence of the
-//! sequential loop, so arena ids, depths, edges, the truncation point and
-//! therefore the DFS witness are bit-identical for every thread count.
+//! The graph construction can run with several worker threads: each BFS
+//! level is expanded in parallel (decode + successor enumeration + encode
+//! are the dominant cost and are pure), then the per-head results are
+//! **merged in head order** by one thread.  The merge replays exactly the
+//! insertion sequence of the sequential loop, so arena ids, depths, edges,
+//! the truncation point and therefore the DFS witness are bit-identical for
+//! every thread count.
 
 use std::sync::Mutex;
 
@@ -105,92 +103,21 @@ impl LivenessReport {
     }
 }
 
-/// Searches for a reachable cycle in which process `victim` continuously
-/// satisfies its trying-region predicate ([`Algorithm::is_trying`]) while only
-/// other processes take steps.
-#[must_use]
-pub fn find_starvation_cycle<A: Algorithm + ?Sized>(
-    algorithm: &A,
-    victim: usize,
-    max_states: usize,
-) -> Option<StarvationWitness> {
-    find_starvation_cycle_where(algorithm, victim, max_states, |alg, state| {
-        alg.is_trying(state, victim)
-    })
-}
-
-/// Like [`find_starvation_cycle`] but with a caller-supplied predicate that
-/// defines which states count as "the victim is still waiting".
+/// Searches the reachable graph (at most `max_states` states) for a cycle
+/// in which process `victim` satisfies `waiting` throughout while only other
+/// processes take steps.  `|alg, s| alg.is_trying(s, victim)` asks about the
+/// whole trying region ([`Algorithm::is_trying`]).
 ///
-/// Returns `None` if no such cycle exists within the explored portion of the
-/// state space (bounded by `max_states`); use [`starvation_report_where`]
-/// when the caller needs to distinguish "proved absent" from "not found
-/// within budget".
-#[must_use]
-pub fn find_starvation_cycle_where<A, F>(
-    algorithm: &A,
-    victim: usize,
-    max_states: usize,
-    waiting: F,
-) -> Option<StarvationWitness>
-where
-    A: Algorithm + ?Sized,
-    F: Fn(&A, &ProgState) -> bool + Sync,
-{
-    starvation_report_where(algorithm, victim, max_states, waiting).witness
-}
-
-/// [`find_starvation_cycle`] with the full [`LivenessReport`] outcome.
-#[must_use]
-pub fn starvation_report<A: Algorithm + ?Sized>(
-    algorithm: &A,
-    victim: usize,
-    max_states: usize,
-) -> LivenessReport {
-    starvation_report_where(algorithm, victim, max_states, |alg, state| {
-        alg.is_trying(state, victim)
-    })
-}
-
-/// [`starvation_report`] with a worker-thread count for the graph phase.
-#[must_use]
-pub fn starvation_report_with_threads<A: Algorithm + ?Sized>(
-    algorithm: &A,
-    victim: usize,
-    max_states: usize,
-    threads: usize,
-) -> LivenessReport {
-    starvation_report_where_with_threads(algorithm, victim, max_states, threads, |alg, state| {
-        alg.is_trying(state, victim)
-    })
-}
-
-/// [`find_starvation_cycle_where`] with the full [`LivenessReport`] outcome.
-#[must_use]
-pub fn starvation_report_where<A, F>(
-    algorithm: &A,
-    victim: usize,
-    max_states: usize,
-    waiting: F,
-) -> LivenessReport
-where
-    A: Algorithm + ?Sized,
-    F: Fn(&A, &ProgState) -> bool + Sync,
-{
-    starvation_report_where_with_threads(algorithm, victim, max_states, 1, waiting)
-}
-
-/// [`starvation_report_where`] with `threads` workers expanding the
-/// reachable-graph phase (clamped to ≥ 1; `1` runs inline without spawning).
-///
-/// Each BFS level is expanded in parallel and merged in head order, which
-/// replays the sequential insertion sequence exactly: the report — states,
-/// truncation, witness cycle — is **bit-identical for every thread count**,
-/// including budget-truncated runs.  The cycle-search DFS itself stays
-/// sequential; the graph construction dominates the wall time.
+/// `threads` workers expand the reachable-graph phase (clamped to ≥ 1; `1`
+/// runs inline without spawning).  Each BFS level is expanded in parallel
+/// and merged in head order, which replays the sequential insertion
+/// sequence exactly: the report — states, truncation, witness cycle — is
+/// **bit-identical for every thread count**, including budget-truncated
+/// runs.  The cycle-search DFS itself stays sequential; the graph
+/// construction dominates the wall time.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn starvation_report_where_with_threads<A, F>(
+pub fn starvation_report<A, F>(
     algorithm: &A,
     victim: usize,
     max_states: usize,
@@ -389,9 +316,7 @@ mod tests {
         // The §6.3 scenario: two fast processes (0 and 1) can keep the slow
         // process 2 parked at L1 forever under an unfair scheduler.
         let spec = BakeryPlusPlusSpec::new(3, 2);
-        let report = starvation_report_where(&spec, 2, 150_000, |_, state| {
-            state.pc(2) == pc::L1_SCAN
-        });
+        let report = starvation_report(&spec, 2, 150_000, 1, |_, state| state.pc(2) == pc::L1_SCAN);
         assert_eq!(report.verdict(), "cycle found");
         assert!(!report.proves_starvation_freedom());
         let witness = report
@@ -447,8 +372,8 @@ mod tests {
         // can be ignored forever — this is a property of unfair scheduling,
         // not of Bakery++ (Bakery behaves the same, §6.3).
         let spec = BakeryPlusPlusSpec::new(2, 10);
-        let witness = find_starvation_cycle(&spec, 1, 100_000);
-        assert!(witness.is_some());
+        let report = starvation_report(&spec, 1, 100_000, 1, |alg, s| alg.is_trying(s, 1));
+        assert!(report.witness.is_some());
     }
 
     #[test]
@@ -462,7 +387,7 @@ mod tests {
         let n = 2;
         let spec = BakerySpec::new(n, 1_000_000);
         let number_idx_victim = n + 1; // number[1]
-        let report = starvation_report_where(&spec, 1, 120_000, |alg, state| {
+        let report = starvation_report(&spec, 1, 120_000, 1, |alg, state| {
             alg.is_trying(state, 1) && state.read(number_idx_victim) != 0
         });
         assert!(
@@ -486,7 +411,7 @@ mod tests {
         let bound = 4;
         let spec = BakeryPlusPlusSpec::new(n, bound);
         let number_idx_victim = n + 1; // number[1]
-        let report = starvation_report_where(&spec, 1, 150_000, |alg, state| {
+        let report = starvation_report(&spec, 1, 150_000, 1, |alg, state| {
             let ticket = state.read(number_idx_victim);
             alg.is_trying(state, 1)
                 && ticket != 0
@@ -510,7 +435,7 @@ mod tests {
         // Peterson's algorithm is starvation-free once the flag is raised: the
         // other process hands over the turn on its next attempt.
         let spec = PetersonSpec::new();
-        let report = starvation_report_where(&spec, 1, 50_000, |alg, state| {
+        let report = starvation_report(&spec, 1, 50_000, 1, |alg, state| {
             alg.is_trying(state, 1) && state.read(1) == 1 // flag[1] == 1
         });
         assert!(report.proves_starvation_freedom(), "{:?}", report.witness);
@@ -524,7 +449,7 @@ mod tests {
         // for a complete graph and for a budget-truncated one.
         let spec = BakeryPlusPlusSpec::new(3, 2);
         let run = |threads: usize, budget: usize| {
-            starvation_report_where_with_threads(&spec, 2, budget, threads, |_, state| {
+            starvation_report(&spec, 2, budget, threads, |_, state| {
                 state.pc(2) == pc::L1_SCAN
             })
         };
@@ -547,6 +472,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn victim_must_be_a_valid_process() {
         let spec = BakeryPlusPlusSpec::new(2, 2);
-        let _ = find_starvation_cycle(&spec, 5, 1_000);
+        let _ = starvation_report(&spec, 5, 1_000, 1, |alg, s| alg.is_trying(s, 5));
     }
 }

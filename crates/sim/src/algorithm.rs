@@ -15,8 +15,8 @@
 //!   return an arbitrary value) is expressed by returning **several**
 //!   successors for the same process;
 //! * crash/restart faults are separate transitions produced by
-//!   [`Algorithm::crash`], so fault injection can be switched on and off
-//!   without touching the algorithm itself.
+//!   [`Algorithm::crash`], so the model checker can explore them or leave
+//!   them out without touching the algorithm itself.
 
 use crate::state::{ProgState, RegisterSpec};
 use crate::symmetry::SymmetryGroup;
@@ -142,11 +142,6 @@ pub enum Observation {
         pid: usize,
         /// The value it attempted to store.
         attempted: u64,
-    },
-    /// The process crashed and restarted in its noncritical section.
-    Crashed {
-        /// Process that crashed.
-        pid: usize,
     },
 }
 

@@ -18,8 +18,11 @@
 //! * **invariants** ([`invariant::Invariant`]) are checked after every step:
 //!   mutual exclusion, register bounds (the no-overflow property), and
 //!   arbitrary user predicates;
-//! * **fault injection** ([`faults::FaultPlan`]) crashes and restarts
-//!   processes according to the paper's failure assumptions 1.5–1.7;
+//! * **crashes** are transitions of their own ([`Algorithm::crash`]): the
+//!   process restarts in its noncritical section with its registers reading
+//!   zero (the paper's failure assumptions 1.5–1.7).  The simulator never
+//!   injects them; `bakery-mc` explores them exhaustively
+//!   (`ModelChecker::with_crashes`);
 //! * every run produces a [`trace::Trace`] that can be replayed, diffed, and
 //!   reduced to its observable events for the refinement experiment (**E4**).
 //!
@@ -31,7 +34,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod algorithm;
-pub mod faults;
 pub mod invariant;
 pub mod metrics;
 pub mod runner;
@@ -41,7 +43,6 @@ pub mod symmetry;
 pub mod trace;
 
 pub use algorithm::{Algorithm, Observation, RegisterSemantics, StateBounds};
-pub use faults::FaultPlan;
 pub use invariant::Invariant;
 pub use metrics::RunReport;
 pub use runner::{RunConfig, Simulator};

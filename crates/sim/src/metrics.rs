@@ -24,8 +24,6 @@ pub struct RunReport {
     /// Steps on which each process was blocked when it was scheduled (the
     /// scheduler had to pick someone else).
     pub blocked_picks: Vec<u64>,
-    /// Crashes injected per process.
-    pub crashes: Vec<u64>,
     /// Invariant violations discovered.
     pub violations: Vec<Violation>,
     /// True when a state with no enabled process was reached.
@@ -44,7 +42,6 @@ bakery_json::json_object!(RunReport {
     steps,
     cs_entries,
     blocked_picks,
-    crashes,
     violations,
     deadlocked,
     max_register_value,
@@ -61,7 +58,6 @@ impl RunReport {
             steps: 0,
             cs_entries: vec![0; processes],
             blocked_picks: vec![0; processes],
-            crashes: vec![0; processes],
             violations: Vec::new(),
             deadlocked: false,
             max_register_value: 0,

@@ -4,10 +4,11 @@
 //! One run is one *sampled schedule*; exhaustive exploration of all schedules
 //! lives in the `bakery-mc` crate.  The simulator is what the experiment
 //! harness uses for long, statistically meaningful runs (millions of steps)
-//! that would be far beyond exhaustive checking.
+//! that would be far beyond exhaustive checking.  A run takes program steps
+//! only: crash transitions ([`Algorithm::crash`]) are explored by
+//! `bakery-mc` (`ModelChecker::with_crashes`), never sampled here.
 
 use crate::algorithm::{Algorithm, Observation};
-use crate::faults::FaultPlan;
 use crate::invariant::Invariant;
 use crate::metrics::{RunReport, Violation};
 use crate::scheduler::Scheduler;
@@ -22,8 +23,6 @@ pub struct RunConfig<A: ?Sized> {
     pub invariants: Vec<Invariant<A>>,
     /// Whether to stop at the first invariant violation.
     pub stop_on_violation: bool,
-    /// Crash-injection plan.
-    pub faults: FaultPlan,
     /// Whether to record the full trace (schedule + observations).
     pub record_trace: bool,
 }
@@ -36,7 +35,6 @@ impl<A: Algorithm + ?Sized> RunConfig<A> {
             max_steps,
             invariants: vec![Invariant::mutual_exclusion(), Invariant::register_bounds()],
             stop_on_violation: true,
-            faults: FaultPlan::none(),
             record_trace: true,
         }
     }
@@ -48,7 +46,6 @@ impl<A: Algorithm + ?Sized> RunConfig<A> {
             max_steps,
             invariants: Vec::new(),
             stop_on_violation: false,
-            faults: FaultPlan::none(),
             record_trace: false,
         }
     }
@@ -57,13 +54,6 @@ impl<A: Algorithm + ?Sized> RunConfig<A> {
     #[must_use]
     pub fn with_invariant(mut self, invariant: Invariant<A>) -> Self {
         self.invariants.push(invariant);
-        self
-    }
-
-    /// Sets the fault plan.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
         self
     }
 
@@ -109,7 +99,6 @@ impl Simulator {
         let mut report = RunReport::new(algorithm.name().to_string(), n);
         let mut trace = Trace::new();
         let mut state = algorithm.initial_state();
-        let mut injector = config.faults.injector(n);
         let registers = algorithm.registers();
 
         // Track which processes were in their critical section in the
@@ -117,18 +106,6 @@ impl Simulator {
         let mut was_in_cs = vec![false; n];
 
         for step in 0..config.max_steps {
-            // Fault injection happens "before" the scheduled step, at any
-            // instant, as the paper allows.
-            if let Some(victim) = injector.maybe_crash() {
-                if let Some(crashed) = algorithm.crash(&state, victim) {
-                    report.crashes[victim] += 1;
-                    if config.record_trace {
-                        trace.observe(step, Observation::Crashed { pid: victim });
-                    }
-                    state = crashed;
-                }
-            }
-
             // Collect enabled processes and their successor sets.
             let mut enabled: Vec<usize> = Vec::with_capacity(n);
             let mut successor_sets: Vec<Vec<ProgState>> = vec![Vec::new(); n];

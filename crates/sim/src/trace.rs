@@ -123,8 +123,7 @@ fn obs_pid(obs: &Observation) -> Option<usize> {
         | Observation::EnterCs { pid }
         | Observation::ExitCs { pid }
         | Observation::OverflowAvoided { pid }
-        | Observation::Overflowed { pid, .. }
-        | Observation::Crashed { pid } => Some(*pid),
+        | Observation::Overflowed { pid, .. } => Some(*pid),
     }
 }
 
@@ -176,7 +175,7 @@ pub mod refinement {
                     live.retain(|(p, _)| p != pid);
                     live.push((*pid, *number));
                 }
-                Observation::OverflowAvoided { pid } | Observation::Crashed { pid } => {
+                Observation::OverflowAvoided { pid } => {
                     live.retain(|(p, _)| p != pid);
                 }
                 Observation::Overflowed { pid, attempted } => {
@@ -256,7 +255,7 @@ pub mod refinement {
                     pending.push((*pid, arrival_counter, *number));
                     arrival_counter += 1;
                 }
-                Observation::OverflowAvoided { pid } | Observation::Crashed { pid } => {
+                Observation::OverflowAvoided { pid } => {
                     pending.retain(|(p, _, _)| p != pid);
                 }
                 Observation::EnterCs { pid } => {
@@ -396,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_crash_release_the_ticket() {
+    fn overflow_reset_releases_the_ticket() {
         let t = obs_trace(vec![
             Observation::TicketTaken { pid: 0, number: 1 },
             Observation::OverflowAvoided { pid: 0 },

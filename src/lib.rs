@@ -9,7 +9,7 @@
 //! * [`baselines`] — every comparison algorithm (Peterson, Filter, Szymanski,
 //!   Black-White Bakery, the all-`SeqCst` reference Bakery, Dijkstra,
 //!   ticket/TAS locks).
-//! * [`sim`] — the step-machine simulator (schedulers, faults, traces).
+//! * [`sim`] — the step-machine simulator (schedulers, invariants, traces).
 //! * [`spec`] — model-checkable specifications of the algorithms.
 //! * [`mc`] — the explicit-state model checker (TLC stand-in).
 //! * [`harness`] — workloads, metrics and the E1–E13 experiment runner.

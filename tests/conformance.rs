@@ -29,8 +29,7 @@ use std::sync::Arc;
 
 use bakery_suite::locks::raw::DoorwayOutcome;
 use bakery_suite::locks::{
-    AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, OverflowPolicy, RawMutexAlgorithm,
-    SessionPlane, TreeBakery,
+    AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery,
 };
 use bakery_suite::sim::{
     Algorithm, ProgState, RandomScheduler, ReplayScheduler, RunConfig, Simulator,
@@ -333,7 +332,7 @@ fn classic_bakery_overflows_at_the_same_step_as_its_spec() {
     // with the same attempted value.  (After the overflow the two diverge by
     // design: the spec stores the M+1 sentinel, the lock wraps.)
     let bound = 4;
-    let lock = BakeryLock::with_bound_and_policy(2, bound, OverflowPolicy::Wrap);
+    let lock = BakeryLock::with_bound(2, bound);
     let spec = BakerySpec::new(2, bound);
     let mut state = spec.initial_state();
 
@@ -856,7 +855,7 @@ fn failed_try_acquire_leaves_no_residue_across_the_registry() {
 // ---------------------------------------------------------------------------
 // 6. Wait-strategy conformance (PR 7): how a process *waits* must never
 //    change what the algorithm *does*.  The same seeded schedule under
-//    `Spin`, `Yield` and `Park` must produce bit-identical doorway traces,
+//    `Spin` and `Park` must produce bit-identical doorway traces,
 //    and the Park strategy must honour the episode policy — a fresh wait
 //    episode starts in its spin phase, so uncontended paths never park.
 // ---------------------------------------------------------------------------
@@ -903,7 +902,7 @@ fn doorway_trace(lock: &BakeryPlusPlusLock, n: usize, seed: u64) -> Vec<(String,
 fn wait_strategies_are_behaviour_invariant() {
     use bakery_suite::locks::wait::strategy_by_name;
     for seed in 0..6u64 {
-        let traces: Vec<Vec<(String, u64)>> = ["spin", "yield", "park"]
+        let traces: Vec<Vec<(String, u64)>> = ["spin", "park"]
             .iter()
             .map(|name| {
                 let strategy =
@@ -918,16 +917,12 @@ fn wait_strategies_are_behaviour_invariant() {
             .collect();
         assert_eq!(
             traces[0], traces[1],
-            "seed {seed}: spin and yield traces diverged"
-        );
-        assert_eq!(
-            traces[0], traces[2],
             "seed {seed}: spin and park traces diverged"
         );
     }
     // Under real contention the strategies must also agree on the observable
     // profile: same entry totals, same overflow freedom, mutual exclusion.
-    for name in ["spin", "yield", "park"] {
+    for name in ["spin", "park"] {
         let strategy = bakery_suite::locks::wait::strategy_by_name(name).unwrap();
         let lock = Arc::new(BakeryPlusPlusLock::with_bound_and_strategy(4, 8, strategy));
         let total = stress(Arc::clone(&lock), 4, 250);
@@ -999,7 +994,7 @@ fn failed_try_acquire_resets_registers_and_matches_a_fresh_spec_doorway() {
     lock.release(1);
 
     // --- classic Bakery: same doorway registers, same crash rule.
-    let classic = BakeryLock::with_bound_and_policy(n, bound, OverflowPolicy::Wrap);
+    let classic = BakeryLock::with_bound(n, bound);
     classic.acquire(0);
     assert!(!classic.try_acquire(1));
     assert_lanes_hold(classic.registers(), &[1, 0], "bakery");

@@ -5,7 +5,7 @@
 use bakery_suite::locks::{
     BakeryLock, BakeryPlusPlusLock, DoorwayOutcome, RawMutexAlgorithm,
 };
-use bakery_suite::mc::{find_starvation_cycle_where, ModelChecker};
+use bakery_suite::mc::{starvation_report, ModelChecker};
 use bakery_suite::sim::{Algorithm, Invariant};
 use bakery_suite::spec::{pc, BakeryPlusPlusSpec, BakerySpec, RegisterSemantics};
 
@@ -77,11 +77,11 @@ fn liveness_scenario_from_section_6_3() {
     // A process parked at L1 can be starved by two fast processes (the paper
     // concedes this); a process that holds a ticket below M cannot.
     let spec = BakeryPlusPlusSpec::new(3, 2);
-    let parked = find_starvation_cycle_where(&spec, 2, 150_000, |_, s| s.pc(2) == pc::L1_SCAN);
+    let parked = starvation_report(&spec, 2, 150_000, 1, |_, s| s.pc(2) == pc::L1_SCAN).witness;
     assert!(parked.is_some());
 
     let spec2 = BakeryPlusPlusSpec::new(2, 4);
-    let holder = find_starvation_cycle_where(&spec2, 1, 150_000, |alg, s| {
+    let holder = starvation_report(&spec2, 1, 150_000, 1, |alg, s| {
         let ticket = s.read(2 + 1);
         alg.is_trying(s, 1)
             && ticket != 0
@@ -89,6 +89,7 @@ fn liveness_scenario_from_section_6_3() {
             && s.pc(1) != pc::RESET_NUMBER
             && s.pc(1) != pc::WRITE_MAX
             && s.pc(1) != pc::CHECK_BOUND
-    });
+    })
+    .witness;
     assert!(holder.is_none(), "{holder:?}");
 }
