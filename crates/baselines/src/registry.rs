@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bakery_core::{AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery};
+use bakery_core::{BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery};
 
 use crate::{
     BlackWhiteBakeryLock, DijkstraLock, FilterLock, PetersonLock, SeqCstBakeryLock, SzymanskiLock,
@@ -29,7 +29,6 @@ pub enum AlgorithmId {
     Bakery,
     BakeryPlusPlus,
     TreeBakery,
-    AdaptiveBakery,
     BlackWhiteBakery,
     BakerySeqCst,
     Peterson,
@@ -122,22 +121,6 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
         // bound that admits a full round of K tickets), so the factory's
         // `bound` knob intentionally does not apply here.
         build: |_, n| Arc::new(TreeBakery::new(n)),
-    },
-    AlgorithmEntry {
-        id: AlgorithmId::AdaptiveBakery,
-        name: "adaptive-bakery",
-        // The steady-state planes only publish their own lanes and bits, but
-        // the handoff control words (epoch CAS, flat_active fetch-add) are
-        // RMWs that arbitrate between processes — that disqualifies "true"
-        // status.
-        true_mutex: false,
-        // FCFS while flat; tournament-shaped after the migration.
-        fcfs: false,
-        bounded: true,
-        exact_n: None,
-        // Thresholds stay at the adaptive defaults (owned by bakery-core);
-        // the bound knob does not apply, mirroring the tree entry.
-        build: |_, n| Arc::new(AdaptiveBakery::new(n)),
     },
     AlgorithmEntry {
         id: AlgorithmId::BlackWhiteBakery,
@@ -235,11 +218,10 @@ impl AlgorithmId {
     /// All identifiers, in report order (the table's order).
     #[must_use]
     pub fn all() -> &'static [AlgorithmId] {
-        const ALL: [AlgorithmId; 14] = [
+        const ALL: [AlgorithmId; 13] = [
             AlgorithmId::Bakery,
             AlgorithmId::BakeryPlusPlus,
             AlgorithmId::TreeBakery,
-            AlgorithmId::AdaptiveBakery,
             AlgorithmId::BlackWhiteBakery,
             AlgorithmId::BakerySeqCst,
             AlgorithmId::Peterson,
@@ -445,12 +427,6 @@ mod tests {
         assert!(AlgorithmId::TreeBakery.is_true_mutex());
         assert!(AlgorithmId::TreeBakery.is_bounded());
         assert!(!AlgorithmId::TreeBakery.is_fcfs());
-        // The adaptive lock: bounded planes, but the handoff control words
-        // are RMW (not "true" in the paper's sense) and its fairness shape
-        // changes at the migration (no global FCFS claim).
-        assert!(!AlgorithmId::AdaptiveBakery.is_true_mutex());
-        assert!(AlgorithmId::AdaptiveBakery.is_bounded());
-        assert!(!AlgorithmId::AdaptiveBakery.is_fcfs());
     }
 
     #[test]
@@ -466,18 +442,6 @@ mod tests {
         let slot = lock.register().unwrap();
         drop(lock.lock(&slot));
         assert_eq!(lock.stats().cs_entries(), 1);
-    }
-
-    #[test]
-    fn adaptive_bakery_builds_and_enters() {
-        let factory = LockFactory::new();
-        let lock = factory.build(AlgorithmId::AdaptiveBakery, 16);
-        assert_eq!(lock.capacity(), 16);
-        let slot = lock.register().unwrap();
-        for _ in 0..3 {
-            drop(lock.lock(&slot));
-        }
-        assert_eq!(lock.stats().cs_entries(), 3);
     }
 
     #[test]
@@ -526,7 +490,6 @@ mod tests {
             AlgorithmId::Bakery,
             AlgorithmId::BakeryPlusPlus,
             AlgorithmId::TreeBakery,
-            AlgorithmId::AdaptiveBakery,
             AlgorithmId::TicketLock,
             AlgorithmId::Tas,
             AlgorithmId::Ttas,

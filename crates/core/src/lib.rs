@@ -54,7 +54,6 @@
 //! | [`tree`] | tournament-of-bounded-bakeries: the K-ary [`TreeBakery`] composite |
 //! | [`session`] | dynamic membership: pid-slot leasing with RAII [`Session`]s |
 //! | [`asession`] | async session clients: cancellation-safe `attach().await` / `lock().await` |
-//! | [`adaptive`] | [`AdaptiveBakery`]: flat Bakery++ ⇄ tree round-trip migration under load |
 //! | [`wait`] | pluggable wait strategies (spin / park) behind every busy-wait, and the per-episode spin-then-yield [`WaitToken`] |
 //! | [`stats`] | lock statistics (overflows, resets, doorway waits, fast-path hits, …) |
 //!
@@ -113,7 +112,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod asession;
 pub mod bakery;
 pub mod bakery_pp;
@@ -129,7 +127,6 @@ pub mod ticket;
 pub mod tree;
 pub mod wait;
 
-pub use adaptive::AdaptiveBakery;
 pub use bakery::{Bakery, BakeryLock};
 pub use bakery_pp::{BakeryPlusPlusLock, DEFAULT_PP_BOUND};
 pub use guard::CriticalSectionGuard;

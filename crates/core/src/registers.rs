@@ -154,12 +154,6 @@ impl RegisterFile {
         self.bound
     }
 
-    /// The overflow policy applied to the `number` registers.
-    #[must_use]
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
     /// Reads `choosing[j]`.
     #[must_use]
     pub fn read_choosing(&self, j: usize) -> bool {
@@ -238,7 +232,6 @@ mod tests {
         let stats = LockStats::new();
         assert!(file.write_number(1, 255, &stats).is_none());
         assert_eq!(file.read_number(1), 255);
-        assert_eq!(file.policy(), OverflowPolicy::Wrap);
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub struct LockStats {
     fast_path_hits: AtomicU64,
     attaches: AtomicU64,
     detaches: AtomicU64,
-    migrations_forward: AtomicU64,
-    migrations_reverse: AtomicU64,
     crash_aborts: AtomicU64,
     seat_recoveries: AtomicU64,
 }
@@ -158,32 +156,6 @@ impl LockStats {
         self.detaches.fetch_add(1, Ordering::Relaxed); // mem: stats-relaxed
     }
 
-    /// Number of completed forward (flat→tree) migrations of an adaptive
-    /// lock ([`crate::AdaptiveBakery`]).  Zero for every other algorithm.
-    #[must_use]
-    pub fn migrations_forward(&self) -> u64 {
-        self.migrations_forward.load(Ordering::Relaxed) // mem: stats-relaxed
-    }
-
-    /// Number of completed reverse (tree→flat) migrations of an adaptive
-    /// lock.  Zero for every other algorithm.  `migrations_forward()` and
-    /// `migrations_reverse()` can never differ by more than one: the epoch
-    /// cycle alternates the two directions by construction.
-    #[must_use]
-    pub fn migrations_reverse(&self) -> u64 {
-        self.migrations_reverse.load(Ordering::Relaxed) // mem: stats-relaxed
-    }
-
-    /// Records one completed forward (flat→tree) migration.
-    pub fn record_migration_forward(&self) {
-        self.migrations_forward.fetch_add(1, Ordering::Relaxed); // mem: stats-relaxed
-    }
-
-    /// Records one completed reverse (tree→flat) migration.
-    pub fn record_migration_reverse(&self) {
-        self.migrations_reverse.fetch_add(1, Ordering::Relaxed); // mem: stats-relaxed
-    }
-
     /// Number of completed crash aborts: a pre-CS acquisition torn down via
     /// [`crate::raw::RawMutexAlgorithm::crash_abort`], leaving the pid's own
     /// registers reading zero (the paper's crash rule, assumptions 1.5–1.7).
@@ -223,8 +195,6 @@ impl LockStats {
             fast_path_hits: self.fast_path_hits(),
             attaches: self.attaches(),
             detaches: self.detaches(),
-            migrations_forward: self.migrations_forward(),
-            migrations_reverse: self.migrations_reverse(),
             crash_aborts: self.crash_aborts(),
             seat_recoveries: self.seat_recoveries(),
         }
@@ -252,10 +222,6 @@ pub struct StatsSnapshot {
     pub attaches: u64,
     /// See [`LockStats::detaches`].
     pub detaches: u64,
-    /// See [`LockStats::migrations_forward`].
-    pub migrations_forward: u64,
-    /// See [`LockStats::migrations_reverse`].
-    pub migrations_reverse: u64,
     /// See [`LockStats::crash_aborts`].
     pub crash_aborts: u64,
     /// See [`LockStats::seat_recoveries`].
@@ -276,8 +242,6 @@ impl StatsSnapshot {
         self.fast_path_hits += other.fast_path_hits;
         self.attaches += other.attaches;
         self.detaches += other.detaches;
-        self.migrations_forward += other.migrations_forward;
-        self.migrations_reverse += other.migrations_reverse;
         self.crash_aborts += other.crash_aborts;
         self.seat_recoveries += other.seat_recoveries;
     }
@@ -288,8 +252,7 @@ impl fmt::Display for StatsSnapshot {
         write!(
             f,
             "cs={} overflows={} resets={} l1_waits={} doorway_waits={} max_ticket={} \
-             fast_path={} attaches={} detaches={} migrations={}/{} crash_aborts={} \
-             seat_recoveries={}",
+             fast_path={} attaches={} detaches={} crash_aborts={} seat_recoveries={}",
             self.cs_entries,
             self.overflow_attempts,
             self.resets,
@@ -299,8 +262,6 @@ impl fmt::Display for StatsSnapshot {
             self.fast_path_hits,
             self.attaches,
             self.detaches,
-            self.migrations_forward,
-            self.migrations_reverse,
             self.crash_aborts,
             self.seat_recoveries
         )
@@ -381,23 +342,6 @@ mod tests {
         assert_eq!(merged.doorway_waits, 2);
         assert_eq!(merged.max_ticket, 9, "high-water mark takes the max");
         assert_eq!(merged.fast_path_hits, 1);
-    }
-
-    #[test]
-    fn migration_counters_accumulate_and_merge() {
-        let s = LockStats::new();
-        s.record_migration_forward();
-        s.record_migration_reverse();
-        s.record_migration_forward();
-        assert_eq!(s.migrations_forward(), 2);
-        assert_eq!(s.migrations_reverse(), 1);
-        let other = LockStats::new();
-        other.record_migration_reverse();
-        let mut merged = s.snapshot();
-        merged.merge(&other.snapshot());
-        assert_eq!(merged.migrations_forward, 2);
-        assert_eq!(merged.migrations_reverse, 2);
-        assert!(s.snapshot().to_string().contains("migrations=2/1"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::raw::{RawMutexAlgorithm};
 use crate::slots::SlotAllocator;
 use crate::stats::{LockStats, StatsSnapshot};
 use crate::sync::{AtomicU64, Ordering};
-use crate::wait::{WaitHandle, WaitStrategy};
+use crate::wait::WaitHandle;
 
 /// Default tree arity: eight children per node keeps every node's packed
 /// ticket array within one cache line while already giving depth 4 at
@@ -111,24 +111,12 @@ impl TreeBakery {
     /// Panics if `n == 0` or `arity < 2`.
     #[must_use]
     pub fn with_arity(n: usize, arity: usize) -> Self {
-        Self::with_config_and_strategy(n, arity, crate::wait::default_strategy())
-    }
-
-    /// Creates a tree lock whose nodes all share one [`WaitStrategy`]
-    /// instance (each node keeps its own wait-site namespace, so waiters on
-    /// different nodes never alias).
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `arity < 2`.
-    #[must_use]
-    pub fn with_config_and_strategy(
-        n: usize,
-        arity: usize,
-        strategy: Arc<dyn WaitStrategy>,
-    ) -> Self {
         assert!(n > 0, "a lock needs at least one process slot");
         assert!(arity >= 2, "a tree node needs at least two children");
         let bound = arity as u64 + 1;
+        // All nodes share one strategy instance; each keeps its own
+        // wait-site namespace, so waiters on different nodes never alias.
+        let strategy = crate::wait::default_strategy();
         let depth = Self::depth_for(n, arity);
         let mut levels = Vec::with_capacity(depth);
         let mut group = arity; // leaves covered by one node at this level
@@ -252,29 +240,6 @@ impl TreeBakery {
         total
     }
 
-    /// Applies the paper's crash rule (assumptions 1.5–1.7) to the levels of
-    /// `pid`'s leaf-to-root path the pid was engaged on: each such slot's
-    /// choosing bit *and* number lane are zeroed,
-    /// highest engaged level first (the same root-first order `release`
-    /// uses, so a node is never re-opened to contenders while an ancestor
-    /// slot still carries the crashed process's registers).  Levels above
-    /// the engagement mark are deliberately left alone: their slots may
-    /// legitimately hold a *sibling's* tickets (slot ownership above the
-    /// leaves follows whoever holds the subtree).
-    ///
-    /// This is the stats-free primitive shared by [`TreeBakery`]'s own
-    /// `crash_abort` and the adaptive facade's crash path (which accounts the
-    /// abort once, on its own counters).
-    pub fn crash_reset_path(&self, pid: usize) {
-        assert!(pid < self.capacity, "pid {pid} out of range");
-        let engaged = self.engaged[pid].load(Ordering::SeqCst) as usize; // mem: engaged-mark
-        for level in (0..engaged.min(self.depth())).rev() {
-            let (node, slot) = self.position(pid, level);
-            self.levels[level][node].crash_reset(slot);
-        }
-        self.engaged[pid].store(0, Ordering::SeqCst); // mem: engaged-mark
-    }
-
     /// Words one uncontended acquisition reads in the doorway scans across
     /// all levels — the figure the E6/E10 sub-linearity comparison reports.
     ///
@@ -342,8 +307,23 @@ impl RawMutexAlgorithm for TreeBakery {
         true
     }
 
+    /// Applies the paper's crash rule (assumptions 1.5–1.7) to the levels of
+    /// `pid`'s leaf-to-root path the pid was engaged on: each such slot's
+    /// choosing bit *and* number lane are zeroed,
+    /// highest engaged level first (the same root-first order `release`
+    /// uses, so a node is never re-opened to contenders while an ancestor
+    /// slot still carries the crashed process's registers).  Levels above
+    /// the engagement mark are deliberately left alone: their slots may
+    /// legitimately hold a *sibling's* tickets (slot ownership above the
+    /// leaves follows whoever holds the subtree).
     fn crash_abort(&self, pid: usize) -> bool {
-        self.crash_reset_path(pid);
+        assert!(pid < self.capacity, "pid {pid} out of range");
+        let engaged = self.engaged[pid].load(Ordering::SeqCst) as usize; // mem: engaged-mark
+        for level in (0..engaged.min(self.depth())).rev() {
+            let (node, slot) = self.position(pid, level);
+            self.levels[level][node].crash_reset(slot);
+        }
+        self.engaged[pid].store(0, Ordering::SeqCst); // mem: engaged-mark
         self.stats.record_crash_abort();
         true
     }

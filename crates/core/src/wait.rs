@@ -3,9 +3,9 @@
 //!
 //! The Bakery family is specified entirely in terms of busy-waiting on
 //! single-writer registers (the paper's `L1`/`L2`/`L3` loops), and so are the
-//! layers built on top of it — the session plane's attach loop, the adaptive
-//! lock's drain helpers, the baseline locks.  How a waiter passes the time
-//! while its predicate is false is *not* part of any of those protocols, so
+//! layers built on top of it — the session plane's attach loop and the
+//! baseline locks.  How a waiter passes the time while its predicate is
+//! false is *not* part of any of those protocols, so
 //! this module factors it out behind [`WaitStrategy`]:
 //!
 //! * [`Spin`] — the historical behaviour: exponential spin-then-yield
@@ -65,8 +65,8 @@ pub enum SiteKind {
     Choosing,
     /// An `L3` wait on a ticket lane word (one site per lane word).
     Ticket,
-    /// A guard/phase predicate: Bakery++'s `L1` admission guard, the adaptive
-    /// lock's drain phases, the session plane's busy-seat waits.
+    /// A guard predicate: Bakery++'s `L1` admission guard and the session
+    /// plane's busy-seat waits.
     Guard,
     /// The session plane's free-seat predicate (woken on detach/recycle).
     Attach,

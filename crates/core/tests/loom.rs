@@ -221,82 +221,6 @@ fn loom_session_attach_recycle_race() {
     });
 }
 
-/// The reverse drain handshake under interleaving (the PR 5 race): with the
-/// adaptive lock resident on the tree plane, thread A's session acquisition
-/// runs the announce-then-recheck half (`tree_active += 1`, re-read the full
-/// epoch word) while thread B stores `DRAIN_TREE` and reads `tree_active` —
-/// the two halves of the reverse Dekker handshake.  Whatever the
-/// interleaving:
-///
-/// * either A's announcement lands before B's read (B waits the acquisition
-///   out) or A observes the advanced word and withdraws — a tree acquisition
-///   never overlaps the post-flip flat era (observed as mutual exclusion),
-/// * B's acquisition routes through the flat plane of cycle 1 only after the
-///   tree fully drained, and
-/// * exactly one reverse migration completes, leaving the lock flat-resident
-///   with balanced announce counters (every session detaches cleanly).
-#[test]
-fn loom_session_reverse_drain_handshake() {
-    use bakery_core::{AdaptiveBakery, SessionPlane};
-    loom::model(|| {
-        // Forward thresholds out of reach and a huge quiet period: only the
-        // manual triggers move the epoch, so the race below is pure
-        // reverse-handshake.
-        let adaptive = Arc::new(AdaptiveBakery::with_hysteresis(
-            2,
-            8,
-            u64::MAX,
-            1,
-            1_000_000,
-        ));
-        let plane = SessionPlane::new(Arc::clone(&adaptive) as Arc<_>);
-        // Setup: migrate forward so the race starts tree-resident.
-        adaptive.trigger_migration();
-        {
-            let session = plane.attach();
-            let _g = session.lock(); // helps the forward drain, enters tree
-        }
-        assert!(adaptive.has_migrated());
-        let in_cs = Arc::new(AtomicUsize::new(0));
-        let announcer = {
-            let plane = Arc::clone(&plane);
-            let in_cs = Arc::clone(&in_cs);
-            thread::spawn(move || {
-                let session = plane.attach();
-                let _g = session.lock(); // announce tree_active, recheck word
-                assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0);
-                in_cs.fetch_sub(1, Ordering::SeqCst);
-            })
-        };
-        let drainer = {
-            let adaptive = Arc::clone(&adaptive);
-            let plane = Arc::clone(&plane);
-            let in_cs = Arc::clone(&in_cs);
-            thread::spawn(move || {
-                // DRAIN_TREE store, then the tree_active read inside the
-                // drain-helping acquire.
-                adaptive.trigger_reverse_migration();
-                let session = plane.attach();
-                let _g = session.lock(); // flat plane of cycle 1, post-drain
-                assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0);
-                in_cs.fetch_sub(1, Ordering::SeqCst);
-            })
-        };
-        announcer.join().unwrap();
-        drainer.join().unwrap();
-        // The drainer's acquisition can only have completed through the
-        // cycle-1 flat plane, so the round trip is done.
-        assert!(!adaptive.has_migrated(), "flat-resident after the reverse");
-        assert_eq!(adaptive.stats().migrations_forward(), 1);
-        assert_eq!(adaptive.stats().migrations_reverse(), 1);
-        assert_eq!(adaptive.stats().cs_entries(), 3);
-        assert_eq!(adaptive.aggregate_snapshot().cs_entries, 3);
-        assert_eq!(plane.live_sessions(), 0);
-        let stats = plane.stats();
-        assert_eq!(stats.attaches(), stats.detaches());
-    });
-}
-
 /// The PR 6 reap-vs-release race on the seat word: the holder's guard drop
 /// (CAS `IN_CS → BUSY`, then release) races a reaper that considers the
 /// lease expired.  The quarantine CAS and the exit CAS target the same seat

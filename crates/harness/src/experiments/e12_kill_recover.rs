@@ -68,8 +68,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bakery_core::{
-    AdaptiveBakery, BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery,
-    DEFAULT_PP_BOUND,
+    BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery, DEFAULT_PP_BOUND,
 };
 
 use bakery_json::Value;
@@ -283,9 +282,8 @@ impl KillResult {
     }
 }
 
-/// The three service locks at E12's scale (the E11 trio, default adaptive
-/// thresholds — E12 does not pin the migration schedule, it only requires
-/// crash recovery to hold through whatever migrations fire).
+/// The two service locks at E12's scale (the E11 pair: flat Bakery++ and
+/// the tree).
 ///
 /// Every [`run_kill`] needs a **fresh** lock: a killed client's leaked
 /// session keeps its plane (and with it the lock's slots) alive for the
@@ -296,7 +294,6 @@ pub fn kill_locks(slots: usize) -> Vec<Arc<dyn RawMutexAlgorithm>> {
     vec![
         Arc::new(BakeryPlusPlusLock::with_bound(slots, DEFAULT_PP_BOUND)),
         Arc::new(TreeBakery::new(slots)),
-        Arc::new(AdaptiveBakery::new(slots)),
     ]
 }
 
@@ -553,18 +550,15 @@ pub fn run(quick: bool) -> Vec<Table> {
         "E12 — kill-and-recover: session churn with crashes injected at a swept rate",
         &[
             "algorithm",
+            "M",
             "crash period (1 in N clients)",
             "churn crashes",
             "cs crashes",
             "sessions",
             "cs/s",
             "vs crash-free (%)",
-            "recycled idle",
             "quarantined",
-            "refused",
             "crash aborts",
-            "seat recoveries",
-            "aliasing",
             "recovery mean µs",
             "recovery max µs",
             "waiter blocked mean µs",
@@ -578,6 +572,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             // A fresh lock per run: leaked (killed) sessions pin the
             // previous plane, so planes and locks are never reused.
             let lock = kill_locks(slots).swap_remove(which);
+            let bound = lock.register_bound();
             let config = KillConfig::standard(quick, period);
             let result = run_kill(lock, &config);
             assert_eq!(result.aliasing_violations, 0, "{}: aliasing", result.algorithm);
@@ -606,18 +601,15 @@ pub fn run(quick: bool) -> Vec<Table> {
             };
             churn.push_row(vec![
                 result.algorithm.clone().into(),
+                bound.into(),
                 period.into(),
                 result.injected_crashes.into(),
                 result.cs_crashes.into(),
                 result.completed_sessions.into(),
                 num(result.cs_per_sec(), 0),
                 degradation,
-                result.recycled_idle.into(),
                 result.quarantined.into(),
-                result.refused.into(),
                 result.crash_aborts.into(),
-                result.seat_recoveries.into(),
-                result.aliasing_violations.into(),
                 num(result.recovery.mean_ns() / 1_000.0, 1),
                 num(result.recovery.max_ns() as f64 / 1_000.0, 1),
                 num(result.waiter_blocked.mean_ns() / 1_000.0, 1),
@@ -632,8 +624,11 @@ pub fn run(quick: bool) -> Vec<Table> {
          The reaper recovers every dead seat — idle recycles for clean deaths, quarantine \
          + explicit hand-back for dead CS holders — and the wedged waiter's unblock time \
          is the measured recovery latency.  Zero aliasing and balanced recovery books are \
-         asserted in-test; a deadlock would hang the run.  The crash-free baseline row has a \
-         dash for its period and for the throughput delta it is the reference of.",
+         asserted in-test (no refused recovery, every churn crash recycled idle, one seat \
+         recovery per churn or cs crash); a deadlock would hang the run.  The crash-free \
+         baseline row has a dash for its period and for the throughput delta it is the \
+         reference of.  M is the register bound: flat Bakery++ runs at M = 65535; at 8 slots \
+         the tree is one Bakery++ node at M = K + 1 = 9.",
     );
 
     let samples = if quick { 8 } else { 32 };
@@ -786,8 +781,8 @@ mod tests {
     fn quick_tables_render_the_sweep_and_the_probe() {
         let tables = run(true);
         assert_eq!(tables.len(), 2);
-        // 3 locks x 4 swept periods.
-        assert_eq!(tables[0].len(), 12);
+        // 2 locks x 4 swept periods.
+        assert_eq!(tables[0].len(), 8);
         // One row per site.
         assert_eq!(tables[1].len(), 2);
     }

@@ -94,10 +94,7 @@ pub fn run(quick: bool) -> Vec<Table> {
 
 /// The bounded bakeries whose overflow counters every E7 table gates at 0.
 fn never_overflows(id: AlgorithmId) -> bool {
-    matches!(
-        id,
-        AlgorithmId::BakeryPlusPlus | AlgorithmId::TreeBakery | AlgorithmId::AdaptiveBakery
-    )
+    matches!(id, AlgorithmId::BakeryPlusPlus | AlgorithmId::TreeBakery)
 }
 
 /// E7c: the packed classic Bakery and Bakery++ against the all-`SeqCst`

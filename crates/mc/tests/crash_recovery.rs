@@ -1,11 +1,10 @@
 //! Exhaustive close-out of the **crash-recovery plane** (paper assumptions
-//! 1.5–1.7) over the live lock stack's three verified specifications.
+//! 1.5–1.7) over the live lock stack's two verified specifications.
 //!
 //! PR 6 gives every spec a real `Algorithm::crash` transition — crash and
 //! restart collapsed into one atomic step that zeroes the victim's owned
-//! registers (for the tree: exactly the slots of the levels it had engaged;
-//! for the adaptive handoff: its announce-counter contribution and any plane
-//! it held) and returns it to its noncritical section.  These tests explore
+//! registers (for the tree: exactly the slots of the levels it had engaged)
+//! and returns it to its noncritical section.  These tests explore
 //! the crash-*extended* state spaces exhaustively and check, on every
 //! reachable state:
 //!
@@ -18,13 +17,13 @@
 //! * **CrashedPidMayReenter** — a freshly crashed process is never wedged:
 //!   it has at least one program successor, i.e. it can re-enter its doorway
 //!   (assumption 1.5's "restarts in its noncritical section");
-//! * spec-specific safety (`cs_holder_owns_path`, the drain/flap invariants
-//!   of the handoff cycle) — in particular the tree close-out is the proof
+//! * spec-specific safety (`cs_holder_owns_path`) — in particular the tree
+//!   close-out is the proof
 //!   that a crash wipes only the *victim's* engaged slots and never a
 //!   sibling's tickets in the shared upper-level slots (the aliasing hazard
 //!   the live lock's `engaged[]` mark exists to prevent);
 //! * no deadlock anywhere in the extended space — a crash may abandon a
-//!   drain or a scan, but someone can always move.
+//!   scan, but someone can always move.
 //!
 //! As everywhere in this suite, a passing close-out is only meaningful if
 //! the harness would catch a lie, so a deliberately-false crash claim is
@@ -32,7 +31,7 @@
 
 use bakery_mc::ModelChecker;
 use bakery_sim::{Algorithm, Invariant, ProgState, RegisterSemantics};
-use bakery_spec::{AdaptiveHandoffSpec, BakeryPlusPlusSpec, TreeBakerySpec};
+use bakery_spec::{BakeryPlusPlusSpec, TreeBakerySpec};
 
 /// *CrashResetsOwnRegisters*: from every reachable state, every crash
 /// transition on offer leaves the victim at its NCS (pc 0 across all shipped
@@ -274,38 +273,6 @@ fn full_four_process_tree_closes_out_with_crashes() {
         let json = bakery_json::to_string_pretty(&report).expect("report serialises");
         std::fs::write(&path, json).expect("failed to write the crash close-out summary");
     }
-}
-
-fn close_out_adaptive(n: usize, budget: usize) {
-    let spec = AdaptiveHandoffSpec::new(n);
-    let report = ModelChecker::new(&spec)
-        .with_paper_invariants()
-        .with_invariant(AdaptiveHandoffSpec::drained_invariant())
-        .with_invariant(AdaptiveHandoffSpec::tree_drained_invariant())
-        .with_invariant(AdaptiveHandoffSpec::active_count_invariant())
-        .with_invariant(AdaptiveHandoffSpec::no_flap_invariant())
-        .with_invariant(crash_resets_own_registers(&spec))
-        .with_invariant(crashed_pid_may_reenter())
-        .with_crashes(true)
-        .with_max_states(budget)
-        .run();
-    assert_clean(&report, &format!("adaptive handoff n={n} + crashes"));
-    println!("adaptive crash close-out n={n}: {report}");
-}
-
-/// The adaptive handoff cycle with crashes: a victim may die announced (its
-/// counter contribution is rolled back — `ActiveCountsAnnouncements` must
-/// keep holding), holding a plane (the plane is freed), or mid-help — and
-/// the epoch machine must neither deadlock (a crashed drainer cannot wedge a
-/// drain: the rollback is what completes it) nor flap.
-#[test]
-fn adaptive_two_process_cycle_closes_out_with_crashes() {
-    close_out_adaptive(2, 500_000);
-}
-
-#[test]
-fn adaptive_three_process_cycle_closes_out_with_crashes() {
-    close_out_adaptive(3, 4_000_000);
 }
 
 #[test]

@@ -39,6 +39,11 @@ const FULL_TREE_TRANSITIONS: usize = 149_376_721;
 /// BFS depth of the full close-out (the deepest expanded level).
 const FULL_TREE_MAX_DEPTH: usize = 292;
 
+/// Frontier digest of the full close-out: pins the *contents* of the
+/// explored set, which the counts above cannot (a change that explores a
+/// different set of the same size keeps every count).
+const FULL_TREE_DIGEST: u64 = 17_374_689_207_828_185_351;
+
 /// Worker threads for the release close-out: `MC_THREADS` (the mc-exhaustive
 /// CI job sets it to the runner's core count), defaulting to 1.
 fn closeout_threads() -> usize {
@@ -137,7 +142,8 @@ fn full_four_process_tree_shows_no_violation_within_budget() {
 
 /// **The close-out** (ISSUE 3 tentpole): the full 4-process, 2-level tree is
 /// explored exhaustively — `truncated == false` — with zero invariant
-/// violations and zero deadlocks, and the canonical state count is pinned.
+/// violations and zero deadlocks, and its counts and frontier digest are
+/// pinned.
 ///
 /// ~40 M states take a few minutes in release and far too long in debug, so
 /// the test compiles to `#[ignore]` under `debug_assertions`; `cargo test
@@ -172,6 +178,10 @@ fn full_four_process_tree_closes_out_exhaustively() {
         "transition count drifted"
     );
     assert_eq!(report.max_depth, FULL_TREE_MAX_DEPTH, "BFS depth drifted");
+    assert_eq!(
+        report.frontier_digest, FULL_TREE_DIGEST,
+        "frontier digest drifted (state contents changed, not just counts)"
+    );
     // The mc-exhaustive CI job sets MC_SUMMARY_OUT so this single
     // exploration also produces the uploaded state-count artifact (the
     // tree_closeout example runs the same configuration for ad-hoc use).

@@ -43,9 +43,7 @@
 
 use bakery_mc::{ExplorationReport, ModelChecker, Violation};
 use bakery_sim::{Algorithm, Invariant, ProgState, RegisterSemantics};
-use bakery_spec::{
-    AdaptiveHandoffSpec, BakeryPlusPlusSpec, BakerySpec, PetersonSpec, TicketSpec, TreeBakerySpec,
-};
+use bakery_spec::{BakeryPlusPlusSpec, BakerySpec, PetersonSpec, TicketSpec, TreeBakerySpec};
 use proptest::prelude::*;
 
 /// Worker threads for the release close-out: `MC_THREADS` (the CI
@@ -141,11 +139,6 @@ fn atomic_mode_is_pinned_and_thread_count_invariant() {
         &TreeBakerySpec::new(2, 2).with_active_processes(&[0, 1]),
         (3166, 3166, 6016, 146, 0x5eb8_9d02_7571_ab50),
         "tree(2,2) active=[0,1]",
-    );
-    check(
-        &AdaptiveHandoffSpec::new(2),
-        (1148, 1148, 2322, 40, 0xcce6_fb22_9a74_9a4a),
-        "adaptive(2)",
     );
 }
 

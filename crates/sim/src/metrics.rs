@@ -77,15 +77,6 @@ impl RunReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty() && !self.deadlocked
     }
-
-    /// The smallest and largest per-process critical-section counts — a crude
-    /// fairness indicator (0 spread = perfectly even service).
-    #[must_use]
-    pub fn cs_entry_spread(&self) -> (u64, u64) {
-        let min = self.cs_entries.iter().copied().min().unwrap_or(0);
-        let max = self.cs_entries.iter().copied().max().unwrap_or(0);
-        (min, max)
-    }
 }
 
 #[cfg(test)]
@@ -98,15 +89,13 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(r.total_cs_entries(), 0);
         assert_eq!(r.cs_entries.len(), 3);
-        assert_eq!(r.cs_entry_spread(), (0, 0));
     }
 
     #[test]
-    fn totals_and_spread() {
+    fn totals_sum_the_per_process_entries() {
         let mut r = RunReport::new("x", 3);
         r.cs_entries = vec![5, 9, 2];
         assert_eq!(r.total_cs_entries(), 16);
-        assert_eq!(r.cs_entry_spread(), (2, 9));
     }
 
     #[test]

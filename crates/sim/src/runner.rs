@@ -243,7 +243,6 @@ mod tests {
         assert_eq!(outcome.report.steps, 600);
         // Each process cycles through 3 steps per CS entry: 600 / 3 / 2 = 100.
         assert_eq!(outcome.report.total_cs_entries(), 200);
-        assert_eq!(outcome.report.cs_entry_spread(), (100, 100));
         assert!(outcome.trace.is_empty(), "tracing disabled");
     }
 

@@ -76,16 +76,6 @@ impl Trace {
         self.events.iter().map(|e| (e.pid, e.branch)).collect()
     }
 
-    /// All observations of a given process.
-    #[must_use]
-    pub fn observations_of(&self, pid: usize) -> Vec<Observation> {
-        self.observations
-            .iter()
-            .filter(|(_, obs)| obs_pid(obs) == Some(pid))
-            .map(|(_, obs)| *obs)
-            .collect()
-    }
-
     /// The order in which processes entered the critical section.
     #[must_use]
     pub fn entry_order(&self) -> Vec<usize> {
@@ -114,16 +104,6 @@ impl Trace {
     #[must_use]
     pub fn cs_entries(&self) -> u64 {
         self.entry_order().len() as u64
-    }
-}
-
-fn obs_pid(obs: &Observation) -> Option<usize> {
-    match obs {
-        Observation::TicketTaken { pid, .. }
-        | Observation::EnterCs { pid }
-        | Observation::ExitCs { pid }
-        | Observation::OverflowAvoided { pid }
-        | Observation::Overflowed { pid, .. } => Some(*pid),
     }
 }
 
@@ -334,7 +314,6 @@ mod tests {
         assert_eq!(t.entry_order(), vec![0, 1]);
         assert_eq!(t.ticket_order(), vec![(0, 1), (1, 2)]);
         assert_eq!(t.cs_entries(), 2);
-        assert_eq!(t.observations_of(1).len(), 3);
     }
 
     #[test]

@@ -50,14 +50,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod bakery;
 pub mod bakery_pp;
 pub mod peterson;
 pub mod ticket;
 pub mod tree;
 
-pub use adaptive::AdaptiveHandoffSpec;
 pub use bakery::BakerySpec;
 pub use bakery_pp::BakeryPlusPlusSpec;
 pub use peterson::PetersonSpec;

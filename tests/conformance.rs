@@ -28,13 +28,11 @@
 use std::sync::Arc;
 
 use bakery_suite::locks::raw::DoorwayOutcome;
-use bakery_suite::locks::{
-    AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, SessionPlane, TreeBakery,
-};
+use bakery_suite::locks::{BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, TreeBakery};
 use bakery_suite::sim::{
     Algorithm, ProgState, RandomScheduler, ReplayScheduler, RunConfig, Simulator,
 };
-use bakery_suite::spec::{pc, AdaptiveHandoffSpec, BakeryPlusPlusSpec, BakerySpec, TreeBakerySpec};
+use bakery_suite::spec::{pc, BakeryPlusPlusSpec, BakerySpec, TreeBakerySpec};
 
 /// Small deterministic generator so both sides see the same schedule without
 /// depending on the `rand` stub from the root test crate.
@@ -121,30 +119,6 @@ fn spec_plane_bakery_pp() {
 fn spec_plane_tree_bakery() {
     let spec = TreeBakerySpec::new(2, 2);
     spec_plane_holds(&spec, spec.bound(), 6_000);
-}
-
-#[test]
-fn spec_plane_adaptive_handoff() {
-    // The handoff spec draws no tickets (its inner locks are abstracted), so
-    // the ticket-bound half of the plane is vacuous; what matters here is
-    // per-step invariants, deadlock freedom and bit-identical replay, plus
-    // the adaptive-specific invariants checked on every step.
-    let spec = AdaptiveHandoffSpec::new(3);
-    spec_plane_holds(&spec, 1, 4_000);
-    for seed in 0..8 {
-        let config = RunConfig::<AdaptiveHandoffSpec>::checked(4_000)
-            .with_invariant(AdaptiveHandoffSpec::drained_invariant())
-            .with_invariant(AdaptiveHandoffSpec::tree_drained_invariant())
-            .with_invariant(AdaptiveHandoffSpec::active_count_invariant())
-            .with_invariant(AdaptiveHandoffSpec::no_flap_invariant());
-        let outcome = Simulator::new().run(&spec, &mut RandomScheduler::new(seed), &config);
-        assert!(
-            outcome.report.violations.is_empty(),
-            "seed {seed}: {:?}",
-            outcome.report.violations
-        );
-        assert!(!outcome.report.deadlocked, "seed {seed}");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,265 +472,6 @@ fn canonicalized_explorer_replays_deterministically() {
 
 use bakery_suite::baselines::testutil::assert_mutual_exclusion as stress;
 
-/// The adaptive lock through the whole conformance lens: the real migration fires mid-workload (under threads, like the spec's
-/// nondeterministic trigger), mutual exclusion and overflow freedom hold
-/// across the handoff, and afterwards both planes are quiescently zero.
-#[test]
-fn adaptive_real_lock_crosses_the_migration_under_threads() {
-    let lock = Arc::new(AdaptiveBakery::with_config(4, 2, u64::MAX));
-    let in_cs = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let lock = Arc::clone(&lock);
-            let in_cs = Arc::clone(&in_cs);
-            scope.spawn(move || {
-                let slot = lock.register().unwrap();
-                for i in 0..250 {
-                    if t == 0 && i == 125 {
-                        // The threshold crossing, mid-workload.
-                        lock.trigger_migration();
-                    }
-                    let _g = lock.lock(&slot);
-                    let inside = in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    assert_eq!(inside, 0, "mutual exclusion across the handoff");
-                    in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    assert!(lock.has_migrated());
-    assert_eq!(lock.stats().cs_entries(), 1_000);
-
-    // The facade-only cs_entries rule survives the flat->tree migration: the
-    // aggregate folds both planes' counters but counts entries exactly
-    // once, at the adaptive facade — neither zero nor double.
-    let aggregate = lock.aggregate_snapshot();
-    assert_eq!(aggregate.cs_entries, 1_000, "facade-only cs_entries");
-    assert_eq!(aggregate.overflow_attempts, 0);
-    assert!(aggregate.max_ticket <= lock.register_bound().unwrap());
-
-    // Quiescence: every register of both planes drained to zero.
-    let flat = lock.flat().registers();
-    for pid in 0..flat.len() {
-        assert_eq!(flat.read_number(pid), 0);
-        assert!(!flat.read_choosing(pid));
-    }
-    let tree = lock.tree();
-    for level in 0..tree.depth() {
-        for node in 0..tree.nodes_at(level) {
-            let file = tree.node(level, node).registers();
-            for slot in 0..file.len() {
-                assert_eq!(file.read_number(slot), 0);
-                assert!(!file.read_choosing(slot));
-            }
-        }
-    }
-}
-
-/// Session churn over the adaptive lock, crossing the capacity threshold
-/// mid-workload: the leased-capacity trigger (not the manual one) fires, no
-/// recycled slot ever aliases, and the facade-only cs_entries rule is pinned
-/// through the handoff.
-#[test]
-fn adaptive_session_churn_pins_facade_cs_entries_across_migration() {
-    let adaptive = Arc::new(AdaptiveBakery::with_config(4, 4, u64::MAX));
-    let plane = SessionPlane::new(
-        Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>
-    );
-    let live = std::sync::Mutex::new(std::collections::HashSet::new());
-    let in_cs = std::sync::atomic::AtomicU64::new(0);
-    // Rush: all four seats leased at once, so the capacity trigger is
-    // guaranteed to fire during these acquisitions; then churn.
-    let all_attached = std::sync::Barrier::new(4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let plane = &plane;
-            let live = &live;
-            let in_cs = &in_cs;
-            let all_attached = &all_attached;
-            scope.spawn(move || {
-                for round in 0..40 {
-                    let session = plane.attach();
-                    if round == 0 {
-                        all_attached.wait();
-                    }
-                    assert!(
-                        live.lock().unwrap().insert(session.pid()),
-                        "slot aliasing on pid {}",
-                        session.pid()
-                    );
-                    for _ in 0..5 {
-                        let _g = session.lock();
-                        assert_eq!(
-                            in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-                            0
-                        );
-                        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                    }
-                    assert!(live.lock().unwrap().remove(&session.pid()));
-                    drop(session);
-                }
-            });
-        }
-    });
-    assert!(
-        adaptive.has_migrated(),
-        "the leased-capacity trigger must fire mid-churn"
-    );
-    let stats = adaptive.stats();
-    assert_eq!(stats.attaches(), 160);
-    assert_eq!(stats.detaches(), 160);
-    assert_eq!(stats.cs_entries(), 800);
-    assert_eq!(
-        adaptive.aggregate_snapshot().cs_entries,
-        800,
-        "cs_entries counted once at the adaptive facade, never doubled during the handoff"
-    );
-    assert_eq!(plane.live_sessions(), 0);
-}
-
-/// The full round trip through the conformance lens: a rush leases every seat (the capacity trigger fires, flat→tree), a churn
-/// era holds the lock loud and tree-resident, a subside era drops below the
-/// low watermark until the hysteresis band fires the reverse (tree→flat) —
-/// with mutual exclusion asserted across both handoffs, the facade-only
-/// `cs_entries` rule pinned over the whole cycle, and the post-round-trip
-/// flat plane required to agree **step-for-step** with a *fresh* Bakery++
-/// specification on doorway outcomes and ticket values (a completed round
-/// trip is observationally indistinguishable from a fresh flat lock).
-#[test]
-fn adaptive_round_trip_pins_facade_cs_entries_and_doorway_agreement() {
-    let quiet_period = 6;
-    let adaptive = Arc::new(AdaptiveBakery::with_hysteresis(
-        4,
-        3,
-        u64::MAX,
-        2,
-        quiet_period,
-    ));
-    let plane = SessionPlane::new(Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>);
-    let in_cs = std::sync::atomic::AtomicU64::new(0);
-    let cs_done = std::sync::atomic::AtomicU64::new(0);
-    // Rush + churn: all four seats leased at once and held for the whole
-    // era, so live sessions sit at 4 — above the capacity threshold (the
-    // forward trigger must fire) and above the low watermark (the
-    // reverse must NOT fire, every release is loud).
-    let all_attached = std::sync::Barrier::new(4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let plane = &plane;
-            let in_cs = &in_cs;
-            let cs_done = &cs_done;
-            let all_attached = &all_attached;
-            scope.spawn(move || {
-                let session = plane.attach();
-                all_attached.wait();
-                for _ in 0..30 {
-                    let _g = session.lock();
-                    assert_eq!(
-                        in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-                        0,
-                        "mutual exclusion across the forward handoff"
-                    );
-                    cs_done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                }
-                drop(session);
-            });
-        }
-    });
-    assert_eq!(
-        adaptive.stats().migrations_forward(),
-        1,
-        "the rush must fire the forward trigger exactly once"
-    );
-    assert!(
-        adaptive.stats().migrations_reverse() <= 1,
-        "at most one reverse (the era's tail may already have gone quiet)"
-    );
-
-    // Subside: one client at a time (live = 1, below the low watermark of
-    // 2), until the quiet streak arms and completes the reverse handoff.
-    // (If the churn era finished unevenly enough that its tail already
-    // migrated back, the loop is a no-op — the assertions below hold
-    // either way.)
-    let mut subside_sessions = 0u64;
-    while adaptive.has_migrated() {
-        let session = plane.attach();
-        let _g = session.lock();
-        assert_eq!(in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst), 0);
-        cs_done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-        drop(_g);
-        drop(session);
-        subside_sessions += 1;
-        assert!(
-            subside_sessions <= 4 * quiet_period,
-            "the reverse migration never fired"
-        );
-    }
-    assert_eq!(adaptive.stats().migrations_reverse(), 1);
-    assert_eq!(adaptive.cycle(), 1, "exactly one full round trip");
-    assert!(!adaptive.has_migrated(), "flat-resident again");
-
-    // The facade-only cs_entries rule, pinned across the FULL cycle.
-    let total = cs_done.load(std::sync::atomic::Ordering::SeqCst);
-    assert_eq!(total, 120 + subside_sessions);
-    assert_eq!(adaptive.stats().cs_entries(), total);
-    assert_eq!(
-        adaptive.aggregate_snapshot().cs_entries,
-        total,
-        "cs_entries counted once at the facade, never doubled by either handoff"
-    );
-    assert_eq!(adaptive.aggregate_snapshot().overflow_attempts, 0);
-    assert_eq!(plane.live_sessions(), 0);
-
-    // Doorway differential: the post-round-trip flat plane vs a FRESH
-    // Bakery++ spec, step for step.  Any residue the reverse drain left
-    // in the flat registers would break the very first outcome.
-    let flat = adaptive.flat();
-    let spec = BakeryPlusPlusSpec::new(4, flat.bound());
-    let mut state = spec.initial_state();
-    let mut rng = Lcg::new(0xC1C1E ^ total);
-    let mut holders: Vec<(u64, usize)> = Vec::new();
-    for step in 0..60 {
-        let idle: Vec<usize> =
-            (0..4).filter(|p| !holders.iter().any(|&(_, h)| h == *p)).collect();
-        let serve = holders.len() == 4 || (idle.is_empty() || rng.next().is_multiple_of(3));
-        if serve && !holders.is_empty() {
-            holders.sort_unstable();
-            let (_, pid) = holders.remove(0);
-            flat.await_turn(pid);
-            flat.release(pid);
-            spec_serve(&spec, &mut state, pid);
-        } else {
-            let pid = idle[(rng.next() as usize) % idle.len()];
-            let real = flat.try_doorway(pid);
-            let speced = pp_spec_doorway(&spec, &mut state, pid, 4);
-            match (&real, &speced) {
-                (DoorwayOutcome::Ticket(a), SpecDoorway::Ticket(b)) => {
-                    assert_eq!(
-                        a, b,
-                        "step {step}: post-round-trip flat plane drew a \
-                         different ticket than a fresh spec"
-                    );
-                    holders.push((*a, pid));
-                }
-                (DoorwayOutcome::Blocked, SpecDoorway::Blocked)
-                | (DoorwayOutcome::Reset, SpecDoorway::Reset) => {}
-                other => panic!(
-                    "step {step}: post-round-trip flat plane and fresh \
-                     spec disagree: {other:?}"
-                ),
-            }
-        }
-    }
-    holders.sort_unstable();
-    for (_, pid) in holders {
-        flat.await_turn(pid);
-        flat.release(pid);
-    }
-}
-
 #[test]
 fn real_locks_match_the_spec_planes_invariant_profile() {
     // The spec plane established: no overflow attempts, tickets within M,
@@ -767,17 +482,6 @@ fn real_locks_match_the_spec_planes_invariant_profile() {
     assert_eq!(total, 1_000);
     assert_eq!(pp.stats().overflow_attempts(), 0);
     assert!(pp.stats().max_ticket() <= 4);
-
-    let adaptive = Arc::new(AdaptiveBakery::with_config(4, 4, u64::MAX));
-    let total = stress(
-        Arc::clone(&adaptive) as Arc<dyn RawMutexAlgorithm>,
-        4,
-        250,
-    );
-    assert_eq!(total, 1_000);
-    let aggregate = adaptive.aggregate_snapshot();
-    assert_eq!(aggregate.overflow_attempts, 0);
-    assert!(aggregate.max_ticket <= adaptive.register_bound().unwrap());
 
     let tree = Arc::new(TreeBakery::with_arity(4, 2));
     let total = stress(Arc::clone(&tree), 4, 250);
@@ -937,7 +641,7 @@ fn park_episode_policy_uncontended_paths_never_park() {
     // The episode policy's observable half: every wait episode starts with a
     // fresh token in its spin phase, so a sequential workload — where no
     // predicate ever holds long enough to escalate — must record zero parks
-    // and zero wait rounds, under every lock in the headline family.
+    // and zero wait rounds.
     let park = Arc::new(Park::new());
     let pp = BakeryPlusPlusLock::with_bound_and_strategy(2, 8, park.clone());
     for _ in 0..50 {
@@ -948,21 +652,6 @@ fn park_episode_policy_uncontended_paths_never_park() {
     }
     assert_eq!(park.parks(), 0, "uncontended bakery++ must not park");
     assert_eq!(park.wait_calls(), 0, "uncontended bakery++ must not wait at all");
-
-    let park = Arc::new(Park::new());
-    let adaptive = AdaptiveBakery::with_hysteresis_and_strategy(
-        2,
-        usize::MAX,
-        u64::MAX,
-        1,
-        1_000_000,
-        park.clone(),
-    );
-    for _ in 0..50 {
-        adaptive.acquire(0);
-        adaptive.release(0);
-    }
-    assert_eq!(park.parks(), 0, "uncontended adaptive must not park");
 }
 
 #[test]
@@ -1036,14 +725,4 @@ fn failed_try_acquire_resets_registers_and_matches_a_fresh_spec_doorway() {
     }
     tree.acquire(1);
     tree.release(1);
-
-    // --- AdaptiveBakery (flat-resident): the failed try backs out of
-    //     the flat plane and withdraws its announcement.
-    let adaptive = AdaptiveBakery::new(n);
-    adaptive.acquire(0);
-    assert!(!adaptive.try_acquire(1));
-    assert_lanes_hold(adaptive.flat().registers(), &[1, 0], "adaptive flat");
-    adaptive.release(0);
-    adaptive.acquire(1);
-    adaptive.release(1);
 }
