@@ -95,8 +95,6 @@ pub struct ServiceResult {
     /// Slot-aliasing violations observed in-test (two live sessions on one
     /// pid, or two concurrent critical sections).  **Must be zero.**
     pub aliasing_violations: u64,
-    /// Packed-snapshot fast-path hits recorded by the lock's stats.
-    pub fast_path_hits: u64,
     /// Crash aborts recorded by the lock (zero in E11's crash-free churn;
     /// E12 is the experiment that injects them).
     pub crash_aborts: u64,
@@ -187,7 +185,6 @@ pub fn run_service(lock: Arc<dyn RawMutexAlgorithm>, config: &ServiceConfig) -> 
         attaches: stats.attaches,
         detaches: stats.detaches,
         aliasing_violations: violations.load(Ordering::SeqCst), // mem: harness-probe
-        fast_path_hits: stats.fast_path_hits,
         crash_aborts: stats.crash_aborts,
         seat_recoveries: stats.seat_recoveries,
     }
@@ -231,7 +228,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             "CS / session",
             "sessions/s",
             "cs/s",
-            "fast-path hits",
         ],
     );
     for lock in service_locks(&config) {
@@ -251,7 +247,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             config.cs_per_session.into(),
             num(result.sessions_per_sec(), 0),
             num(result.cs_per_sec(), 0),
-            result.fast_path_hits.into(),
         ]);
     }
     table.push_note(

@@ -57,7 +57,10 @@
 //!   sessions on one pid, no two concurrent critical sections), now across
 //!   crash recovery and seat recycling;
 //! * the books balance: recoveries equal injected crashes, quarantines
-//!   equal in-CS kills, and nothing stays leased or quarantined at the end;
+//!   equal in-CS kills, no seat is crash-aborted (doorway and release
+//!   victims die with their registers at zero, and the in-CS victim is
+//!   quarantined and handed back), and nothing stays leased or quarantined
+//!   at the end;
 //! * in the probe, FCFS **under** the crash rule: a waiter ordered behind a
 //!   dead ticket never enters the CS before `crash_abort` clears it (the
 //!   protocol guarantees it, the probe asserts it on real threads).
@@ -557,8 +560,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             "sessions",
             "cs/s",
             "vs crash-free (%)",
-            "quarantined",
-            "crash aborts",
             "recovery mean µs",
             "recovery max µs",
             "waiter blocked mean µs",
@@ -588,6 +589,16 @@ pub fn run(quick: bool) -> Vec<Table> {
                 "{}: recovery books balance",
                 result.algorithm
             );
+            assert_eq!(
+                result.quarantined, result.cs_crashes,
+                "{}: every dead CS holder quarantined",
+                result.algorithm
+            );
+            assert_eq!(
+                result.crash_aborts, 0,
+                "{}: dead seats are reaped, never crash-aborted",
+                result.algorithm
+            );
             let degradation = if period.is_none() {
                 baseline_cs_per_sec = result.cs_per_sec();
                 Value::Null
@@ -608,8 +619,6 @@ pub fn run(quick: bool) -> Vec<Table> {
                 result.completed_sessions.into(),
                 num(result.cs_per_sec(), 0),
                 degradation,
-                result.quarantined.into(),
-                result.crash_aborts.into(),
                 num(result.recovery.mean_ns() / 1_000.0, 1),
                 num(result.recovery.max_ns() as f64 / 1_000.0, 1),
                 num(result.waiter_blocked.mean_ns() / 1_000.0, 1),
@@ -624,11 +633,12 @@ pub fn run(quick: bool) -> Vec<Table> {
          The reaper recovers every dead seat — idle recycles for clean deaths, quarantine \
          + explicit hand-back for dead CS holders — and the wedged waiter's unblock time \
          is the measured recovery latency.  Zero aliasing and balanced recovery books are \
-         asserted in-test (no refused recovery, every churn crash recycled idle, one seat \
-         recovery per churn or cs crash); a deadlock would hang the run.  The crash-free \
-         baseline row has a dash for its period and for the throughput delta it is the \
-         reference of.  M is the register bound: flat Bakery++ runs at M = 65535; at 8 slots \
-         the tree is one Bakery++ node at M = K + 1 = 9.",
+         asserted in-test (no refused recovery, every churn crash recycled idle, every cs \
+         crash quarantined, one seat recovery per churn or cs crash, no crash_abort: a \
+         doorway or release victim dies with its registers at zero); a deadlock would hang \
+         the run.  The crash-free baseline row has a dash for its period and for the \
+         throughput delta it is the reference of.  M is the register bound: flat Bakery++ \
+         runs at M = 65535; at 8 slots the tree is one Bakery++ node at M = K + 1 = 9.",
     );
 
     let samples = if quick { 8 } else { 32 };

@@ -1,9 +1,10 @@
 //! Compact, invertible state encoding for the explorer's visited set.
 //!
-//! The explorer used to deduplicate full [`ProgState`] structs — several heap
-//! allocations and a few hundred bytes per state once the tree specification
-//! is involved.  [`StateCodec`] instead bit-packs every field into a handful
-//! of 64-bit words, reusing the lane-sizing idea of `bakery-core`'s
+//! A [`ProgState`] keeps its registers, process frames and pending writes
+//! inline (see `bakery_sim::state`): building or copying one allocates
+//! nothing, but every state is several hundred bytes wide, whatever its
+//! specification.  [`StateCodec`] instead bit-packs every field into a
+//! handful of 64-bit words, reusing the lane-sizing idea of `bakery-core`'s
 //! `snapshot::LaneWidth`: each field gets the narrowest lane that holds every
 //! value it can take, with widths derived from [`Algorithm::registers`] (plus
 //! one value of sentinel headroom, since the classic Bakery specification
@@ -35,7 +36,9 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use bakery_sim::{Algorithm, PendingWrite, ProcState, ProgState, RegisterSemantics, StatePermutation};
+use bakery_sim::{
+    Algorithm, InlineVec, PendingWrite, ProcState, ProgState, RegisterSemantics, StatePermutation,
+};
 
 /// Number of words a [`StateCode`] stores inline before spilling to a heap
 /// allocation.  Three words cover every specification in the suite at its
@@ -445,52 +448,45 @@ impl StateCodec {
     }
 
     /// Decodes from raw packed words (the arena stores codes as bare words).
+    /// Each lane is read straight into its slot of the state's inline
+    /// arrays, in layout order.
     #[must_use]
     pub fn decode_words(&self, words: &[u64]) -> ProgState {
         let mut reader = BitReader::new(words);
-        let shared: Vec<u64> = self
-            .shared_bits
-            .iter()
-            .map(|&bits| reader.pull(bits))
-            .collect();
-        let procs: Vec<ProcState> = (0..self.procs)
-            .map(|_| {
-                let pc = reader.pull(self.pc_bits) as u32;
-                let crashed = reader.pull(1) != 0;
-                let locals: Vec<u64> =
-                    self.local_bits.iter().map(|&bits| reader.pull(bits)).collect();
-                let mut proc_state = ProcState::new(pc, locals);
-                proc_state.crashed = crashed;
-                proc_state
-            })
-            .collect();
-        let writes: Vec<PendingWrite> = if self.weak {
-            (0..self.shared_bits.len())
-                .map(|idx| match self.owners[idx] {
-                    Some(owner) => {
-                        let active = reader.pull(1) != 0;
-                        let value = reader.pull(self.shared_bits[idx]);
-                        PendingWrite {
-                            writers: if active { 1 << owner } else { 0 },
-                            value,
-                            clash: false,
-                        }
-                    }
-                    None => {
-                        let writers = reader.pull(self.procs as u32);
-                        let clash = reader.pull(1) != 0;
-                        let value = reader.pull(self.shared_bits[idx]);
-                        PendingWrite {
-                            writers,
-                            value,
-                            clash,
-                        }
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let registers = self.shared_bits.len();
+        let shared = InlineVec::from_fn(registers, |idx| reader.pull(self.shared_bits[idx]));
+        let procs = InlineVec::from_fn(self.procs, |_| {
+            let pc = reader.pull(self.pc_bits) as u32;
+            let crashed = reader.pull(1) != 0;
+            let locals = InlineVec::from_fn(self.local_bits.len(), |slot| {
+                reader.pull(self.local_bits[slot])
+            });
+            ProcState {
+                pc,
+                locals,
+                crashed,
+            }
+        });
+        let cells = if self.weak { registers } else { 0 };
+        let writes = InlineVec::from_fn(cells, |idx| match self.owners[idx] {
+            Some(owner) => {
+                let active = reader.pull(1) != 0;
+                PendingWrite {
+                    writers: if active { 1 << owner } else { 0 },
+                    value: reader.pull(self.shared_bits[idx]),
+                    clash: false,
+                }
+            }
+            None => {
+                let writers = reader.pull(self.procs as u32);
+                let clash = reader.pull(1) != 0;
+                PendingWrite {
+                    writers,
+                    value: reader.pull(self.shared_bits[idx]),
+                    clash,
+                }
+            }
+        });
         ProgState {
             shared,
             procs,
@@ -799,6 +795,38 @@ mod tests {
         let mut state = spec.initial_state();
         state.set_shared(2, 9); // number[0] lane bound is M + 1 = 3
         let _ = codec.encode(&state);
+    }
+
+    #[test]
+    fn a_state_at_every_capacity_limit_round_trips() {
+        use bakery_sim::state::{MAX_LOCALS, MAX_PROCESSES, MAX_REGISTERS};
+        // Six processes fill the process capacity and their 2 · 6 registers
+        // the register capacity; under Safe every register also carries a
+        // pending-write cell, and every process both Bakery locals.
+        let spec =
+            BakeryPlusPlusSpec::new(MAX_PROCESSES, 3).with_semantics(RegisterSemantics::Safe);
+        let codec = StateCodec::new(&spec);
+        let mut state = spec.initial_state();
+        assert_eq!(state.shared.len(), MAX_REGISTERS);
+        assert_eq!(state.writes.len(), MAX_REGISTERS);
+        assert_eq!(state.procs.len(), MAX_PROCESSES);
+        assert!(state.procs.iter().all(|p| p.locals.len() == MAX_LOCALS));
+        for pid in 0..MAX_PROCESSES {
+            state.set_pc(pid, pid as u32 + 1);
+            state.set_local(pid, 0, pid as u64);
+            state.set_local(pid, 1, 3);
+            state.procs[pid].crashed = pid % 2 == 1;
+        }
+        for (idx, register) in spec.registers().iter().enumerate() {
+            state.set_shared(idx, register.bound);
+            let owner = register.owner.expect("bakery registers are owned");
+            state.begin_write(idx, register.bound + 1, owner);
+        }
+        assert_eq!(codec.decode(&codec.encode(&state)), state);
+        let json = bakery_json::to_string(&state).unwrap();
+        let back: ProgState = bakery_json::from_str(&json).unwrap();
+        assert_eq!(back, state);
+        assert_eq!(back.render(&spec.registers()), state.render(&spec.registers()));
     }
 
     #[test]

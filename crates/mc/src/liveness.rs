@@ -329,37 +329,39 @@ mod tests {
         // in the spec's successor sets or successor push order moves it.
         // Along the cycle only process 0 moves (process 1 idles in its NCS,
         // the victim sits at L1); each entry is `(choosing[0], number[0],
-        // pc of process 0)`, every other register reading zero.
+        // pc and loop index j of process 0)`.  Every other register reads
+        // zero, and every folded maximum and every other local is zero.
         assert_eq!(report.states, 75_102);
         assert_eq!(witness.prefix_length, 2);
         let expected: Vec<String> = [
-            (0, 0, pc::L1_SCAN),
-            (0, 0, pc::L1_SCAN),
-            (0, 0, pc::L1_SCAN),
-            (0, 0, pc::L1_SCAN),
-            (0, 0, pc::SET_CHOOSING),
-            (1, 0, pc::COMPUTE_MAX),
-            (1, 0, pc::COMPUTE_MAX),
-            (1, 0, pc::COMPUTE_MAX),
-            (1, 0, pc::COMPUTE_MAX),
-            (1, 0, pc::WRITE_MAX),
-            (1, 0, pc::CHECK_BOUND),
-            (1, 0, pc::WRITE_TICKET),
-            (1, 1, pc::CLEAR_CHOOSING),
-            (0, 1, pc::SCAN_CHOOSING),
-            (0, 1, pc::SCAN_CHOOSING),
-            (0, 1, pc::SCAN_NUMBER),
-            (0, 1, pc::SCAN_CHOOSING),
-            (0, 1, pc::SCAN_NUMBER),
-            (0, 1, pc::SCAN_CHOOSING),
-            (0, 1, pc::CS),
-            (0, 0, pc::NCS),
+            (0, 0, pc::L1_SCAN, 0),
+            (0, 0, pc::L1_SCAN, 1),
+            (0, 0, pc::L1_SCAN, 2),
+            (0, 0, pc::L1_SCAN, 3),
+            (0, 0, pc::SET_CHOOSING, 0),
+            (1, 0, pc::COMPUTE_MAX, 0),
+            (1, 0, pc::COMPUTE_MAX, 1),
+            (1, 0, pc::COMPUTE_MAX, 2),
+            (1, 0, pc::COMPUTE_MAX, 3),
+            (1, 0, pc::WRITE_MAX, 3),
+            (1, 0, pc::CHECK_BOUND, 3),
+            (1, 0, pc::WRITE_TICKET, 3),
+            (1, 1, pc::CLEAR_CHOOSING, 3),
+            (0, 1, pc::SCAN_CHOOSING, 0),
+            (0, 1, pc::SCAN_CHOOSING, 1),
+            (0, 1, pc::SCAN_NUMBER, 1),
+            (0, 1, pc::SCAN_CHOOSING, 2),
+            (0, 1, pc::SCAN_NUMBER, 2),
+            (0, 1, pc::SCAN_CHOOSING, 3),
+            (0, 1, pc::CS, 3),
+            (0, 0, pc::NCS, 3),
         ]
         .iter()
-        .map(|(choosing, number, pc0)| {
+        .map(|(choosing, number, pc0, j)| {
             format!(
                 "[choosing[0]={choosing} choosing[1]=0 choosing[2]=0 \
-                 number[0]={number} number[1]=0 number[2]=0] [p0@{pc0} p1@0 p2@1]"
+                 number[0]={number} number[1]=0 number[2]=0] \
+                 [p0@{pc0}({j},0) p1@0(0,0) p2@1(0,0)]"
             )
         })
         .collect();

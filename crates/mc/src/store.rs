@@ -4,7 +4,7 @@
 //!
 //! * [`CodeArena`] stores every discovered state's packed words
 //!   contiguously, `stride` words per state — 16 bytes per state for the
-//!   2-level tree specification instead of a heap-allocated `ProgState` per
+//!   2-level tree specification instead of a 600-byte `ProgState` per
 //!   state.  With the `spill` cargo feature enabled and a spill directory
 //!   configured, sealed chunks of the arena move to a temporary file and are
 //!   paged back through a tiny LRU cache; BFS reads the arena almost

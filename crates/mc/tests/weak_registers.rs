@@ -346,7 +346,10 @@ fn classic_bakery_mutex_failure_is_the_saturation_artifact() {
 
 /// Replays a counterexample trace step by step through the specification's
 /// own `successors`/`crash` transitions, proving the trace is a real
-/// behaviour of the model and returning the final concrete state.
+/// behaviour of the model and returning the final concrete state.  Steps
+/// are matched by rendered string, which is exact: `ProgState::render`
+/// prints every local and pending write, so distinct states never render
+/// alike.
 fn replay<A: Algorithm>(spec: &A, violation: &Violation) -> ProgState {
     let registers = spec.registers();
     let mut state = spec.initial_state();

@@ -271,12 +271,7 @@ pub(crate) mod test_support {
         }
 
         fn initial_state(&self) -> ProgState {
-            ProgState::new(
-                1,
-                (0..self.processes)
-                    .map(|_| ProcState::new(0, vec![]))
-                    .collect(),
-            )
+            ProgState::new(1, &vec![ProcState::new(0, &[]); self.processes])
         }
 
         fn successors(&self, state: &ProgState, pid: usize, out: &mut Vec<ProgState>) {

@@ -215,7 +215,7 @@ mod tests {
         let plain = Invariant::<BrokenLock>::register_bounds();
         let fast = Invariant::<BrokenLock>::register_bounds_for(&alg);
         let mut state = alg.initial_state();
-        state.writes = vec![crate::state::PendingWrite::default()];
+        state.writes = crate::state::InlineVec::from_slice(&[crate::state::PendingWrite::default()]);
         state.begin_write(0, 3, 0);
         assert!(plain.holds(&alg, &state));
         assert!(fast.holds(&alg, &state));
@@ -233,7 +233,7 @@ mod tests {
         };
         let inv = Invariant::<BrokenLock>::crashed_registers_are_zero();
         let mut state = alg.initial_state();
-        state.writes = vec![crate::state::PendingWrite::default()];
+        state.writes = crate::state::InlineVec::from_slice(&[crate::state::PendingWrite::default()]);
         state.begin_write(0, 2, 0);
         state.procs[0].crashed = true;
         assert!(!inv.holds(&alg, &state), "crash must abort in-flight writes");

@@ -47,6 +47,6 @@ pub use invariant::Invariant;
 pub use metrics::RunReport;
 pub use runner::{RunConfig, Simulator};
 pub use scheduler::{AdversarialScheduler, RandomScheduler, ReplayScheduler, RoundRobinScheduler, Scheduler};
-pub use state::{PendingWrite, ProcState, ProgState, RegisterSpec};
+pub use state::{InlineVec, PendingWrite, ProcState, ProgState, RegisterSpec};
 pub use symmetry::{StatePermutation, SymmetryGroup};
 pub use trace::{Trace, TraceEvent};

@@ -30,7 +30,7 @@
 //! total: whichever group element minimises the representative's code, its
 //! inverse (the variant id) is also a group member.
 
-use crate::state::ProgState;
+use crate::state::{PendingWrite, ProgState};
 
 /// A simultaneous relabelling of processes and shared registers.
 ///
@@ -139,13 +139,8 @@ impl StatePermutation {
         assert_eq!(state.procs.len(), self.proc_map.len(), "process count");
         assert_eq!(state.shared.len(), self.shared_map.len(), "register count");
         let mut next = state.clone();
-        // Overwrite the slots in place: `clone_from` reuses each slot's
-        // locals buffer, so no process is cloned a second time.
         for (old, &new) in self.proc_map.iter().enumerate() {
-            let (from, to) = (&state.procs[old], &mut next.procs[new]);
-            to.pc = from.pc;
-            to.crashed = from.crashed;
-            to.locals.clone_from(&from.locals);
+            next.procs[new] = state.procs[old];
         }
         for (old, &new) in self.shared_map.iter().enumerate() {
             next.shared[new] = state.shared[old];
@@ -154,9 +149,11 @@ impl StatePermutation {
         // registers, and the writer bitmasks follow the process relabelling.
         if !state.writes.is_empty() {
             for (old, &new) in self.shared_map.iter().enumerate() {
-                let mut cell = state.writes[old].clone();
-                cell.writers = self.map_writer_mask(cell.writers);
-                next.writes[new] = cell;
+                let cell = state.writes[old];
+                next.writes[new] = PendingWrite {
+                    writers: self.map_writer_mask(cell.writers),
+                    ..cell
+                };
             }
         }
         next
@@ -275,19 +272,18 @@ mod tests {
     use super::*;
     use crate::state::ProcState;
 
-    fn state(shared: Vec<u64>, pcs: Vec<u32>) -> ProgState {
-        ProgState {
-            shared,
-            procs: pcs.into_iter().map(|pc| ProcState::new(pc, vec![])).collect(),
-            writes: Vec::new(),
-        }
+    fn state(shared: &[u64], pcs: &[u32]) -> ProgState {
+        let procs: Vec<ProcState> = pcs.iter().map(|&pc| ProcState::new(pc, &[])).collect();
+        let mut state = ProgState::new(shared.len(), &procs);
+        state.shared.copy_from_slice(shared);
+        state
     }
 
     #[test]
     fn identity_applies_to_itself() {
         let id = StatePermutation::identity(3, 2);
         assert!(id.is_identity());
-        let s = state(vec![4, 5], vec![1, 2, 3]);
+        let s = state(&[4, 5], &[1, 2, 3]);
         assert_eq!(id.apply(&s), s);
     }
 
@@ -301,9 +297,9 @@ mod tests {
     fn apply_moves_procs_and_registers() {
         // Swap processes 0 and 1 and registers 0 and 1.
         let swap = StatePermutation::new(vec![1, 0], vec![1, 0]);
-        let s = state(vec![7, 9], vec![3, 4]);
+        let s = state(&[7, 9], &[3, 4]);
         let t = swap.apply(&s);
-        assert_eq!(t.shared, vec![9, 7]);
+        assert_eq!(*t.shared, [9, 7]);
         assert_eq!(t.pc(0), 4);
         assert_eq!(t.pc(1), 3);
         assert!(!swap.is_identity());
@@ -315,7 +311,7 @@ mod tests {
         let inv = cycle.inverse();
         assert!(cycle.after(&inv).is_identity());
         assert!(inv.after(&cycle).is_identity());
-        let s = state(vec![0], vec![10, 20, 30]);
+        let s = state(&[0], &[10, 20, 30]);
         assert_eq!(inv.apply(&cycle.apply(&s)), s);
     }
 
@@ -363,24 +359,21 @@ mod tests {
         let swap = StatePermutation::new(vec![1, 0], vec![1, 0]);
         let group = SymmetryGroup::generate(&[swap], 16).unwrap();
         // A fully symmetric state has a singleton orbit.
-        let sym = state(vec![5, 5], vec![1, 1]);
+        let sym = state(&[5, 5], &[1, 1]);
         assert_eq!(group.orbit(&sym).len(), 1);
         // An asymmetric state has the full orbit.
-        let asym = state(vec![5, 6], vec![1, 2]);
+        let asym = state(&[5, 6], &[1, 2]);
         assert_eq!(group.orbit(&asym).len(), 2);
     }
 
     #[test]
     fn pending_writes_permute_with_registers_and_writer_masks() {
         let swap = StatePermutation::new(vec![1, 0], vec![1, 0]);
-        let mut s = ProgState::new_weak(
-            2,
-            vec![ProcState::new(1, vec![]), ProcState::new(2, vec![])],
-        );
+        let mut s = ProgState::new_weak(2, &[ProcState::new(1, &[]), ProcState::new(2, &[])]);
         s.set_shared(0, 7);
         s.begin_write(0, 3, 0); // p0 writing 3 to register 0
         let t = swap.apply(&s);
-        assert_eq!(t.shared, vec![0, 7]);
+        assert_eq!(*t.shared, [0, 7]);
         assert_eq!(t.writes[1].writers, 0b10, "writer bit follows p0 -> p1");
         assert_eq!(t.writes[1].value, 3);
         assert!(t.writes[0].is_idle());

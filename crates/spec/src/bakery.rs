@@ -35,6 +35,7 @@
 use std::marker::PhantomData;
 use std::ops::RangeInclusive;
 
+use bakery_sim::state::assert_fits;
 use bakery_sim::{
     Algorithm, Observation, ProcState, ProgState, RegisterSemantics, RegisterSpec, StateBounds,
     SymmetryGroup,
@@ -84,10 +85,17 @@ pub struct FlatBakerySpec<D> {
 
 impl<D: Doorway> FlatBakerySpec<D> {
     /// Creates a spec for `n` processes with register bound `M = bound`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or `bound == 0`, and if the `2n` registers exceed
+    /// the inline capacity of a state: [`assert_fits`] allows
+    /// [`MAX_REGISTERS`](bakery_sim::state::MAX_REGISTERS) = 12 of them, so
+    /// `n ≤ 6`.
     #[must_use]
     pub fn new(n: usize, bound: u64) -> Self {
         assert!(n >= 1, "need at least one process");
         assert!(bound >= 1, "the register bound M must be at least 1");
+        assert_fits(2 * n, n, 2);
         Self {
             n,
             bound,
@@ -137,12 +145,10 @@ impl<D: Doorway> Algorithm for FlatBakerySpec<D> {
     }
 
     fn initial_state(&self) -> ProgState {
-        let procs = (0..self.n)
-            .map(|_| ProcState::new(pc::NCS, vec![0, 0]))
-            .collect();
+        let procs = vec![ProcState::new(pc::NCS, &[0, 0]); self.n];
         match self.semantics {
-            RegisterSemantics::Atomic => ProgState::new(2 * self.n, procs),
-            RegisterSemantics::Safe => ProgState::new_weak(2 * self.n, procs),
+            RegisterSemantics::Atomic => ProgState::new(2 * self.n, &procs),
+            RegisterSemantics::Safe => ProgState::new_weak(2 * self.n, &procs),
         }
     }
 
@@ -630,5 +636,13 @@ mod tests {
         assert_eq!(regs[5].bound, 9);
         let inv = Invariant::<BakerySpec>::register_bounds();
         assert!(inv.holds(&spec, &spec.initial_state()));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a ProgState holds at most 12 registers (MAX_REGISTERS); this shape needs 14"
+    )]
+    fn seven_processes_exceed_the_state_capacity_where_the_spec_is_built() {
+        let _ = BakerySpec::new(7, 3);
     }
 }

@@ -87,10 +87,10 @@ impl Algorithm for PetersonSpec {
     }
 
     fn initial_state(&self) -> ProgState {
-        let procs = vec![ProcState::new(pc::NCS, vec![]), ProcState::new(pc::NCS, vec![])];
+        let procs = [ProcState::new(pc::NCS, &[]); 2];
         match self.semantics {
-            RegisterSemantics::Atomic => ProgState::new(3, procs),
-            RegisterSemantics::Safe => ProgState::new_weak(3, procs),
+            RegisterSemantics::Atomic => ProgState::new(3, &procs),
+            RegisterSemantics::Safe => ProgState::new_weak(3, &procs),
         }
     }
 

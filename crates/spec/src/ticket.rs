@@ -8,6 +8,7 @@
 //! lock inherits the unbounded-growth problem of the classic Bakery: with a
 //! small bound the NoOverflow invariant is violated quickly.
 
+use bakery_sim::state::assert_fits;
 use bakery_sim::{Algorithm, Observation, ProcState, ProgState, RegisterSpec};
 
 /// Shared register indices.
@@ -34,10 +35,16 @@ pub struct TicketSpec {
 
 impl TicketSpec {
     /// Creates a ticket-lock spec for `n` processes with counter bound `bound`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or `bound == 0`, and if `n` exceeds the inline
+    /// capacity of a state: [`assert_fits`] allows
+    /// [`MAX_PROCESSES`](bakery_sim::state::MAX_PROCESSES) = 6 processes.
     #[must_use]
     pub fn new(n: usize, bound: u64) -> Self {
         assert!(n >= 1, "need at least one process");
         assert!(bound >= 1, "the counter bound must be at least 1");
+        assert_fits(2, n, 1);
         Self { n, bound }
     }
 
@@ -69,12 +76,7 @@ impl Algorithm for TicketSpec {
     }
 
     fn initial_state(&self) -> ProgState {
-        ProgState::new(
-            2,
-            (0..self.n)
-                .map(|_| ProcState::new(pc::NCS, vec![0]))
-                .collect(),
-        )
+        ProgState::new(2, &vec![ProcState::new(pc::NCS, &[0]); self.n])
     }
 
     fn successors(&self, state: &ProgState, pid: usize, out: &mut Vec<ProgState>) {

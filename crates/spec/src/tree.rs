@@ -36,6 +36,7 @@
 //! step 0 (the root) itself, mirroring how the flat specification folds the
 //! release write into its CS exit.
 
+use bakery_sim::state::assert_fits;
 use bakery_sim::{
     Algorithm, Invariant, Observation, ProcState, ProgState, RegisterSemantics, RegisterSpec,
     StateBounds, StatePermutation, SymmetryGroup,
@@ -65,19 +66,27 @@ impl TreeBakerySpec {
     /// Creates a spec for a full K-ary tree: `arity^levels` processes.
     ///
     /// # Panics
-    /// Panics if `arity < 2` or `levels == 0`.
+    /// Panics if `arity < 2` or `levels == 0`, and if the tree's registers
+    /// (`2 · arity` per node) or processes exceed the inline capacity of a
+    /// state: [`assert_fits`] allows
+    /// [`MAX_REGISTERS`](bakery_sim::state::MAX_REGISTERS) = 12 registers and
+    /// [`MAX_PROCESSES`](bakery_sim::state::MAX_PROCESSES) = 6 processes.
+    /// The binary 2-level tree (12 registers, 4 processes) is the largest
+    /// that fits.
     #[must_use]
     pub fn new(arity: usize, levels: usize) -> Self {
         assert!(arity >= 2, "a tree node needs at least two children");
         assert!(levels >= 1, "a tree needs at least one level");
         let n = arity.pow(levels as u32);
-        Self {
+        let spec = Self {
             arity,
             levels,
             n,
             bound: arity as u64 + 1,
             active: vec![true; n],
-        }
+        };
+        assert_fits(spec.node_count() * 2 * arity, n, 2);
+        spec
     }
 
     /// Restricts stepping to `pids`; everyone else stays parked in the
@@ -279,9 +288,7 @@ impl Algorithm for TreeBakerySpec {
     fn initial_state(&self) -> ProgState {
         ProgState::new(
             self.node_count() * 2 * self.arity,
-            (0..self.n)
-                .map(|_| ProcState::new(pc::NCS, vec![0, 0]))
-                .collect(),
+            &vec![ProcState::new(pc::NCS, &[0, 0]); self.n],
         )
     }
 
@@ -674,5 +681,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn active_set_must_be_in_range() {
         let _ = TreeBakerySpec::new(2, 2).with_active_processes(&[9]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "a ProgState holds at most 12 registers (MAX_REGISTERS); this shape needs 28"
+    )]
+    fn a_tree_beyond_the_state_capacity_is_rejected_where_it_is_built() {
+        let _ = TreeBakerySpec::new(2, 3);
     }
 }
