@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use crate::guard::CriticalSectionGuard;
 use crate::slots::{Slot, SlotAllocator, SlotError};
-use crate::stats::LockStats;
+use crate::stats::{LockStats, StatsSnapshot};
 
 /// Errors surfaced by the checked locking entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +193,13 @@ pub trait RawMutexAlgorithm: Send + Sync {
 
     /// The lock's statistics block.
     fn stats(&self) -> &LockStats;
+
+    /// A snapshot of the whole lock's counters.  The default reads
+    /// [`RawMutexAlgorithm::stats`]; a composite lock whose counters live in
+    /// its parts (the tree's nodes) sums them here.
+    fn stats_snapshot(&self) -> StatsSnapshot {
+        self.stats().snapshot()
+    }
 
     /// The wait plane the lock's blocking paths run through, when the lock
     /// participates in the pluggable [`crate::wait::WaitStrategy`] machinery.

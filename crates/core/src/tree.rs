@@ -349,6 +349,13 @@ impl RawMutexAlgorithm for TreeBakery {
         &self.stats
     }
 
+    /// The facade's counters plus every node's
+    /// ([`TreeBakery::aggregate_snapshot`]): doorway, ticket and fast-path
+    /// counts live only in the nodes.
+    fn stats_snapshot(&self) -> StatsSnapshot {
+        self.aggregate_snapshot()
+    }
+
     fn wait_handle(&self) -> Option<&WaitHandle> {
         Some(&self.waits)
     }

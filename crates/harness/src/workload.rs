@@ -253,7 +253,7 @@ pub fn run_workload_placed(
     for h in &histograms {
         latency.merge(h);
     }
-    let stats = lock.stats().snapshot();
+    let stats = lock.stats_snapshot();
     WorkloadResult {
         algorithm: lock.algorithm_name().to_string(),
         threads: workload.threads,
@@ -313,6 +313,19 @@ mod tests {
         let result = run_workload(lock, &Workload::quick(2));
         assert_eq!(result.total_acquisitions, 1000);
         assert!(result.max_ticket >= 999);
+    }
+
+    #[test]
+    fn tree_rows_read_the_counts_of_the_tree_nodes() {
+        // The tree counts doorway, ticket and fast-path effort only in its
+        // nodes: a workload result must read those, not the facade's zeros.
+        let lock = Arc::new(bakery_core::TreeBakery::new(4));
+        let result = run_workload(lock, &Workload::quick(1));
+        assert_eq!(result.algorithm, "tree-bakery");
+        assert_eq!(result.total_acquisitions, 500);
+        assert!(result.fast_path_hits > 0, "fast-path hits {}", result.fast_path_hits);
+        assert!(result.max_ticket > 0, "max ticket {}", result.max_ticket);
+        assert_eq!(result.overflow_attempts, 0);
     }
 
     #[test]

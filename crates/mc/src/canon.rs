@@ -32,23 +32,28 @@
 //! layout, and keeps all elements' moves in one flat table.
 //! [`Canonicalizer::factor`] then encodes a state once — so every lane-bound
 //! check still runs, once per state — and builds each orbit member's code by
-//! applying that element's moves to the encoded words in stack buffers.  No
-//! check is lost: the codec only compiles a permutation that maps lanes onto
-//! lanes of equal bound and ownership, so the moved bits are exactly the
-//! permuted state's encoding.  The minimum is the same as before,
-//! lexicographic over words with the first minimal element winning ties, so
-//! every `(code, variant)` is unchanged.
+//! applying that element's moves to the encoded words.  No check is lost:
+//! the codec only compiles a permutation that maps lanes onto lanes of equal
+//! bound and ownership, so the moved bits are exactly the permuted state's
+//! encoding.  The minimum is lexicographic over words with the first minimal
+//! element winning ties, so every `(code, variant)` is the one the
+//! `encode_permuted` reference gives.
+//!
+//! Encoding and minimization run in a buffer of the code's width, picked
+//! once per call (see the `code` module's "Fixed-width kernels"): a
+//! `[u64; W]` for 1–3 words, where images are built, compared and kept by
+//! value, and a `Vec<u64>` for wider codes.  The identity element's image
+//! is the encoded code itself.  The explorer realizes a stored
+//! `(representative, variant)` the same way, by applying the variant's
+//! moves to the representative's words and decoding once;
+//! [`Canonicalizer::realize`] on a decoded state stays as the reference.
 
 use bakery_sim::{ProgState, StatePermutation, SymmetryGroup};
 
-use crate::code::{FieldMove, StateCode, StateCodec};
+use crate::code::{at_width, FieldMove, StateCode, StateCodec, Words};
 
 /// Largest group order the variant bitmap supports.
 pub const MAX_GROUP_ORDER: usize = 64;
-
-/// Code width up to which [`Canonicalizer::factor`] builds its candidate
-/// codes in stack buffers; wider codes use two heap buffers per call.
-const STACK_WORDS: usize = 8;
 
 /// Canonical-representative computation for one algorithm's states.
 #[derive(Debug)]
@@ -129,44 +134,67 @@ impl Canonicalizer {
     /// member's code is then built from that code by the element's moves.
     #[must_use]
     pub fn factor(&self, codec: &StateCodec, state: &ProgState) -> (StateCode, u8) {
-        let code = codec.encode(state);
-        let words = code.as_slice();
-        let (minimizer, canonical) = if words.len() <= STACK_WORDS {
-            let (mut best, mut candidate) = ([0; STACK_WORDS], [0; STACK_WORDS]);
-            let (best, candidate) = (&mut best[..words.len()], &mut candidate[..words.len()]);
-            let minimizer = self.minimize(words, best, candidate);
-            (minimizer, StateCode::from_words(best))
-        } else {
-            let (mut best, mut candidate) = (vec![0; words.len()], vec![0; words.len()]);
-            let minimizer = self.minimize(words, &mut best, &mut candidate);
-            (minimizer, StateCode::from_words(&best))
-        };
-        // rep = elements[minimizer](state)  ⇒  state = elements[minimizer]⁻¹(rep).
-        (canonical, self.inverse_index[minimizer])
+        at_width!(codec.words_per_state(), Buf => {
+            let (canonical, minimizer) = self.minimize(&codec.encode_in::<Buf>(state, None));
+            // rep = elements[minimizer](state)  ⇒  state = elements[minimizer]⁻¹(rep).
+            (
+                StateCode::from_words(canonical.as_ref()),
+                self.inverse_index[minimizer],
+            )
+        })
     }
 
-    /// Writes the image of `code` under every element into `candidate` in
-    /// turn, keeps the lexicographically smallest in `best`, and returns its
-    /// element index (the first one on ties).
-    fn minimize(&self, code: &[u64], best: &mut [u64], candidate: &mut [u64]) -> usize {
+    /// The lexicographically smallest image of `code` over the group, and
+    /// its element index (the first one on ties).
+    #[inline]
+    fn minimize<B: Words>(&self, code: &B) -> (B, usize) {
+        let identity = usize::from(self.identity);
+        let mut best = code.clone();
+        let mut candidate = code.clone();
         let mut minimizer = 0;
         for index in 0..self.group.order() {
-            self.image(index, code, candidate);
-            if index == 0 || *candidate < *best {
-                best.copy_from_slice(candidate);
+            let image = if index == identity {
+                code
+            } else {
+                self.image(index, code.as_ref(), &mut candidate);
+                &candidate
+            };
+            if index == 0 || *image < best {
+                best.clone_from(image);
                 minimizer = index;
             }
         }
-        minimizer
+        (best, minimizer)
     }
 
     /// Writes the code of `elements[index]`'s image of the state encoded by
     /// `code` into `out`.
-    fn image(&self, index: usize, code: &[u64], out: &mut [u64]) {
-        out.fill(0);
+    #[inline]
+    fn image<B: Words>(&self, index: usize, code: &[u64], out: &mut B) {
+        out.as_mut().fill(0);
         for field in &self.moves[self.bounds[index]..self.bounds[index + 1]] {
             field.apply(code, out);
         }
+    }
+
+    /// Decodes the concrete state `(representative, variant)` denotes from
+    /// the representative's packed words: the variant's moves turn them
+    /// into the state's own code, which is decoded once.  Equal to
+    /// [`Canonicalizer::realize`] on the decoded representative.
+    pub(crate) fn realize_words(
+        &self,
+        codec: &StateCodec,
+        representative: &[u64],
+        variant: u8,
+    ) -> ProgState {
+        if variant == self.identity {
+            return codec.decode_words(representative);
+        }
+        at_width!(codec.words_per_state(), Buf => {
+            let mut image = Buf::zeroed(representative.len());
+            self.image(usize::from(variant), representative, &mut image);
+            codec.decode_words(image.as_ref())
+        })
     }
 
     /// Reconstructs the concrete state `(rep, variant)` denotes: applies
@@ -218,11 +246,13 @@ mod tests {
         states
     }
 
-    /// Checks, on `limit` reachable states of `spec`, that every element's
-    /// moves give the code `encode_permuted` gives, and that `factor`
-    /// returns the minimum over `encode_permuted` (first element on ties)
-    /// with the variant that realizes the state.
-    fn assert_moves_match_encode_permuted<A: Algorithm>(spec: &A, limit: usize) {
+    /// Checks, on `limit` reachable states of `spec`, every kernel against
+    /// its reference: each element's moves against `encode_permuted`,
+    /// `factor` against the minimum over `encode_permuted` (first element on
+    /// ties) with the variant that realizes the state, realize by moves
+    /// against `realize(decode(..))`, and the identity `encode` (the
+    /// explorer's no-symmetry path) against `encode_permuted(.., None)`.
+    fn assert_kernels_match_references<A: Algorithm>(spec: &A, limit: usize) {
         let group = spec.symmetry().expect("the spec declares a group");
         let codec = StateCodec::new(spec);
         let canon = Canonicalizer::new(&codec, group.clone());
@@ -236,9 +266,11 @@ mod tests {
             "{}: too few reachable states",
             spec.name()
         );
-        let mut image = vec![0; codec.words_per_state()];
+        let mut image: Vec<u64> = vec![0; codec.words_per_state()];
         for state in &states {
             let code = codec.encode(state);
+            assert_eq!(code, codec.encode_permuted(state, None), "{}", spec.name());
+            assert_eq!(codec.decode(&code), *state, "{}", spec.name());
             let mut reference: Option<(StateCode, usize)> = None;
             for (index, inverse) in inverses.iter().enumerate() {
                 let expected = codec.encode_permuted(state, Some(inverse));
@@ -268,7 +300,14 @@ mod tests {
                 "{}",
                 spec.name()
             );
-            assert_eq!(canon.realize(&codec.decode(&canonical), variant), *state);
+            let realized = canon.realize(&codec.decode(&canonical), variant);
+            assert_eq!(realized, *state, "{}", spec.name());
+            assert_eq!(
+                canon.realize_words(&codec, canonical.as_slice(), variant),
+                realized,
+                "{}",
+                spec.name()
+            );
         }
     }
 
@@ -276,30 +315,71 @@ mod tests {
     fn move_table_matches_encode_permuted_on_every_shipped_group() {
         for semantics in [RegisterSemantics::Atomic, RegisterSemantics::Safe] {
             for n in [2, 3] {
-                assert_moves_match_encode_permuted(
+                assert_kernels_match_references(
                     &BakerySpec::new(n, 3).with_semantics(semantics),
                     300,
                 );
-                assert_moves_match_encode_permuted(
+                assert_kernels_match_references(
                     &BakeryPlusPlusSpec::new(n, 3).with_semantics(semantics),
                     300,
                 );
             }
         }
-        assert_moves_match_encode_permuted(&TreeBakerySpec::new(2, 2), 300);
-        assert_moves_match_encode_permuted(
+        assert_kernels_match_references(&TreeBakerySpec::new(2, 2), 300);
+        assert_kernels_match_references(
             &TreeBakerySpec::new(2, 2).with_active_processes(&[0, 1]),
             300,
         );
     }
 
+    /// Checks that `spec` packs into `words` words, runs the kernel
+    /// differential on it, and runs a bounded search with and without
+    /// symmetry compression, which must visit the same states.
+    fn assert_kernels_at_width<A: Algorithm>(spec: &A, words: usize) {
+        assert_eq!(
+            StateCodec::new(spec).words_per_state(),
+            words,
+            "{}",
+            spec.name()
+        );
+        assert_kernels_match_references(spec, 200);
+        let run = |symmetry: bool| {
+            crate::ModelChecker::new(spec)
+                .with_paper_invariants()
+                .with_symmetry_reduction(symmetry)
+                .with_max_states(3_000)
+                .run()
+        };
+        let (plain, reduced) = (run(false), run(true));
+        assert!(reduced.symmetry_order > 1, "{}", spec.name());
+        assert_eq!(
+            (plain.states, plain.transitions, plain.max_depth),
+            (reduced.states, reduced.transitions, reduced.max_depth),
+            "{}",
+            spec.name()
+        );
+    }
+
     #[test]
-    fn move_table_matches_encode_permuted_on_codes_wider_than_the_stack_buffers() {
-        // 63-bit ticket lanes straddle words, and the code outgrows the
-        // stack buffers, so `factor` takes its heap path.
+    fn kernels_match_their_references_at_every_dispatched_width() {
+        // One spec per buffer `at_width!` selects: `[u64; 1]` (the perfbench
+        // close-out instance), `[u64; 2]`, `[u64; 3]` (20-bit ticket
+        // lanes), and `Vec<u64>` (31-bit lanes, 4 words).
+        assert_kernels_at_width(
+            &BakeryPlusPlusSpec::new(3, 3).with_semantics(RegisterSemantics::Safe),
+            1,
+        );
+        assert_kernels_at_width(&TreeBakerySpec::new(2, 2), 2);
+        assert_kernels_at_width(&BakeryPlusPlusSpec::new(3, 1 << 20), 3);
+        assert_kernels_at_width(&BakerySpec::new(3, 1 << 30), 4);
+    }
+
+    #[test]
+    fn kernels_match_their_references_when_lanes_straddle_words() {
+        // 63-bit ticket lanes straddle words in a 9-word heap code.
         let spec = BakerySpec::new(4, 1 << 62);
-        assert!(StateCodec::new(&spec).words_per_state() > STACK_WORDS);
-        assert_moves_match_encode_permuted(&spec, 100);
+        assert_eq!(StateCodec::new(&spec).words_per_state(), 9);
+        assert_kernels_match_references(&spec, 100);
     }
 
     #[test]

@@ -32,6 +32,16 @@
 //! merge into one move, and a move never straddles a word.  Applied to a
 //! state's code, the moves yield exactly what [`StateCodec::encode_permuted`]
 //! computes from the `ProgState`, which stays as the reference.
+//!
+//! ## Fixed-width kernels
+//!
+//! The hot kernels — [`StateCodec::encode`], the minimization inside
+//! `Canonicalizer::factor` and the explorer's realize by moves — are one
+//! body each, generic over the code buffer (`Words`).  `at_width!` picks the
+//! buffer once per call from [`StateCodec::words_per_state`]: a `[u64; W]`
+//! for each width a [`StateCode`] holds inline (1, 2 or 3 words), so the
+//! buffer lives in registers and its length is a constant, and a `Vec<u64>`
+//! running the same body for wider codes.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -42,8 +52,79 @@ use bakery_sim::{
 
 /// Number of words a [`StateCode`] stores inline before spilling to a heap
 /// allocation.  Three words cover every specification in the suite at its
-/// model-checked sizes.
+/// model-checked sizes.  `at_width!` has one arm per inline width.
 const INLINE_WORDS: usize = 3;
+
+/// A code buffer the width-generic kernels build codes in: `[u64; W]` for
+/// the widths a [`StateCode`] holds inline, `Vec<u64>` for wider codes.
+/// Buffers compare lexicographically by word, like [`StateCode`] slices.
+pub(crate) trait Words: Clone + Ord + AsRef<[u64]> + AsMut<[u64]> {
+    /// A buffer of `len` zero words (`len` is `W` for an array).
+    fn zeroed(len: usize) -> Self;
+
+    /// ORs `bits` into word `word`.
+    fn or_into(&mut self, word: usize, bits: u64);
+}
+
+impl<const W: usize> Words for [u64; W] {
+    #[inline]
+    fn zeroed(len: usize) -> Self {
+        debug_assert_eq!(len, W);
+        [0; W]
+    }
+
+    /// Selects the word by comparison rather than by index, so the buffer
+    /// can live in registers instead of chaining every OR through memory.
+    #[inline(always)]
+    fn or_into(&mut self, word: usize, bits: u64) {
+        debug_assert!(word < W);
+        for (index, slot) in self.iter_mut().enumerate() {
+            if W == 1 || index == word {
+                *slot |= bits;
+            }
+        }
+    }
+}
+
+impl Words for Vec<u64> {
+    fn zeroed(len: usize) -> Self {
+        vec![0; len]
+    }
+
+    #[inline]
+    fn or_into(&mut self, word: usize, bits: u64) {
+        self[word] |= bits;
+    }
+}
+
+/// Runs `$body` with the type alias `$buf` bound to the code buffer for
+/// `$words` words per state: `[u64; 1]`, `[u64; 2]` or `[u64; 3]` (the
+/// widths a [`StateCode`] holds inline), else `Vec<u64>`.
+macro_rules! at_width {
+    ($words:expr, $buf:ident => $body:expr) => {
+        match $words {
+            1 => {
+                type $buf = [u64; 1];
+                $body
+            }
+            2 => {
+                type $buf = [u64; 2];
+                $body
+            }
+            3 => {
+                type $buf = [u64; 3];
+                $body
+            }
+            _ => {
+                type $buf = Vec<u64>;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use at_width;
+
+const _: () = assert!(INLINE_WORDS == 3, "at_width! has one arm per inline width");
 
 /// A packed state: the unit the visited set stores, hashes and compares.
 #[derive(Debug, Clone)]
@@ -62,6 +143,7 @@ pub enum StateCode {
 impl StateCode {
     /// Wraps a packed word vector, choosing inline storage when it fits.
     #[must_use]
+    #[inline]
     pub fn from_words(words: &[u64]) -> Self {
         if words.len() <= INLINE_WORDS {
             let mut inline = [0u64; INLINE_WORDS];
@@ -258,7 +340,8 @@ impl StateCodec {
         self.words * 8
     }
 
-    /// Encodes `state`, asserting every field fits its lane.
+    /// Encodes `state`, asserting every field fits its lane.  Runs the
+    /// encoding in a buffer of the code's width (see the module docs).
     ///
     /// # Panics
     /// Panics when a field exceeds its declared bound — that means an
@@ -266,23 +349,39 @@ impl StateCodec {
     /// is what keeps the compact store sound.
     #[must_use]
     pub fn encode(&self, state: &ProgState) -> StateCode {
-        self.encode_permuted(state, None)
+        at_width!(self.words, Buf => StateCode::from_words(
+            self.encode_in::<Buf>(state, None).as_ref()
+        ))
     }
 
     /// Encodes the image of `state` under the permutation whose **inverse**
     /// is `preimage`, without materialising the permuted state.  This is the
     /// reference the compiled moves of `StateCodec::permutation_moves` are
     /// tested against; the canonicalizer encodes each successor once and
-    /// derives its orbit members' codes from those moves instead.
+    /// derives its orbit members' codes from those moves instead.  It builds
+    /// the code in a `Vec`, whatever the width, so the fixed-width encodes
+    /// have a reference too.
     #[must_use]
     pub fn encode_permuted(
         &self,
         state: &ProgState,
         preimage: Option<&StatePermutation>,
     ) -> StateCode {
+        StateCode::from_words(&self.encode_in::<Vec<u64>>(state, preimage))
+    }
+
+    /// The encoding body behind [`StateCodec::encode`] and
+    /// [`StateCodec::encode_permuted`], writing into a `B` of the code's
+    /// width.  Inlined, so an identity encode carries no permutation lookups.
+    #[inline(always)]
+    pub(crate) fn encode_in<B: Words>(
+        &self,
+        state: &ProgState,
+        preimage: Option<&StatePermutation>,
+    ) -> B {
         assert_eq!(state.shared.len(), self.shared_bits.len(), "register count");
         assert_eq!(state.procs.len(), self.procs, "process count");
-        let mut writer = BitWriter::new(self.words);
+        let mut writer = BitWriter::<B>::new(self.words);
         for new_index in 0..state.shared.len() {
             // The value landing in cell `new_index` comes from the register
             // the inverse maps it to (identity when no permutation).
@@ -358,7 +457,7 @@ impl StateCodec {
                 }
             }
         }
-        StateCode::from_words(writer.finish())
+        writer.finish()
     }
 
     /// Asserts that `perm` maps every register onto one with the same lane
@@ -509,10 +608,12 @@ pub(crate) struct FieldMove {
 
 impl FieldMove {
     /// Copies this move's field of `src` into `dst`, which holds zeros there.
-    #[inline]
-    pub(crate) fn apply(&self, src: &[u64], dst: &mut [u64]) {
-        dst[usize::from(self.dst_word)] |=
-            ((src[usize::from(self.src_word)] >> self.src_shift) & self.mask) << self.dst_shift;
+    #[inline(always)]
+    pub(crate) fn apply<B: Words>(&self, src: &[u64], dst: &mut B) {
+        dst.or_into(
+            usize::from(self.dst_word),
+            ((src[usize::from(self.src_word)] >> self.src_shift) & self.mask) << self.dst_shift,
+        );
     }
 }
 
@@ -567,58 +668,37 @@ impl MoveBuilder<'_> {
     }
 }
 
-/// Words a [`BitWriter`] can hold without allocating, so the common encode
-/// path is alloc-free.
-const WRITER_INLINE: usize = 8;
-
-/// LSB-first bit packer over a fixed number of words.
-struct BitWriter {
-    inline: [u64; WRITER_INLINE],
-    heap: Vec<u64>,
-    words: usize,
+/// LSB-first bit packer into a zeroed code buffer.
+struct BitWriter<B> {
+    words: B,
     bit: usize,
 }
 
-impl BitWriter {
+impl<B: Words> BitWriter<B> {
+    #[inline]
     fn new(words: usize) -> Self {
         Self {
-            inline: [0; WRITER_INLINE],
-            heap: if words > WRITER_INLINE {
-                vec![0; words]
-            } else {
-                Vec::new()
-            },
-            words,
+            words: B::zeroed(words),
             bit: 0,
         }
     }
 
-    fn slot(&mut self, word: usize) -> &mut u64 {
-        if self.words > WRITER_INLINE {
-            &mut self.heap[word]
-        } else {
-            &mut self.inline[word]
-        }
-    }
-
+    #[inline]
     fn push(&mut self, value: u64, bits: u32) {
         debug_assert!(bits == 64 || value < (1u64 << bits));
         let word = self.bit / 64;
         let offset = (self.bit % 64) as u32;
-        *self.slot(word) |= value << offset;
+        self.words.or_into(word, value << offset);
         if offset + bits > 64 {
-            *self.slot(word + 1) |= value >> (64 - offset);
+            self.words.or_into(word + 1, value >> (64 - offset));
         }
         self.bit += bits as usize;
     }
 
-    fn finish(&self) -> &[u64] {
-        debug_assert!(self.bit <= self.words * 64);
-        if self.words > WRITER_INLINE {
-            &self.heap
-        } else {
-            &self.inline[..self.words]
-        }
+    #[inline]
+    fn finish(self) -> B {
+        debug_assert!(self.bit <= self.words.as_ref().len() * 64);
+        self.words
     }
 }
 
@@ -746,7 +826,7 @@ mod tests {
             if !seen.insert(code.clone()) {
                 continue;
             }
-            let mut image = vec![0; codec.words_per_state()];
+            let mut image: Vec<u64> = vec![0; codec.words_per_state()];
             for field in &moves {
                 field.apply(code.as_slice(), &mut image);
             }

@@ -51,7 +51,7 @@ use bakery_sim::{Algorithm, Invariant, ProgState, RegisterSpec};
 
 use crate::canon::Canonicalizer;
 use crate::code::{fnv1a, StateCode, StateCodec, FNV_OFFSET_BASIS};
-use crate::store::{stripe_of, Stripe, STRIPE_BITS};
+use crate::store::{stripe_of, FoldBuildHasher, Stripe, STRIPE_BITS};
 
 /// One step of a counterexample trace.
 #[derive(Debug, Clone)]
@@ -253,7 +253,7 @@ struct Shard {
     /// key is smaller, which makes the whole parent forest — and therefore
     /// every counterexample trace — independent of the worker schedule.
     /// Cleared at each level barrier.
-    level_links: HashMap<u64, (u32, u64)>,
+    level_links: HashMap<u64, (u32, u64), FoldBuildHasher>,
 }
 
 impl Shard {
@@ -416,26 +416,34 @@ impl<'a, A: Algorithm + ?Sized> Engine<'a, A> {
         }
     }
 
-    /// Order-independent per-state digest contribution.
-    fn state_hash(&self, code: &StateCode, variant: u8) -> u64 {
-        let h = fnv1a(FNV_OFFSET_BASIS, code.as_slice());
+    /// Order-independent per-state digest contribution, from the code's
+    /// `fingerprint`.
+    fn state_hash(&self, fingerprint: u64, variant: u8) -> u64 {
         if self.canon.is_some() {
-            fnv1a(h, &[u64::from(variant)])
+            fnv1a(fingerprint, &[u64::from(variant)])
         } else {
-            h
+            fingerprint
         }
     }
 
-    /// Records the state `(code, variant)` if unseen.  `parent` is the
+    /// Records the state `(code, variant)` if unseen.  `fingerprint` is
+    /// `code.fingerprint()`, computed once by the caller.  `parent` is the
     /// packed parent link, `parent_key` the deterministic selection key used
     /// to resolve same-level duplicate discoveries.
-    fn insert(&self, code: &StateCode, variant: u8, parent: u64, parent_key: u64) -> Inserted {
-        let stripe = stripe_of(code.fingerprint());
+    fn insert(
+        &self,
+        code: &StateCode,
+        fingerprint: u64,
+        variant: u8,
+        parent: u64,
+        parent_key: u64,
+    ) -> Inserted {
+        let stripe = stripe_of(fingerprint);
         let mut shard = self.shards[stripe].lock().expect("shard lock poisoned");
         let shard = &mut *shard;
         match &self.canon {
             Some(_) => {
-                let (orbit, new_orbit) = shard.store.intern(code);
+                let (orbit, new_orbit) = shard.store.intern_hashed(code, fingerprint);
                 if new_orbit {
                     shard.masks.push(0);
                 }
@@ -470,7 +478,7 @@ impl<'a, A: Algorithm + ?Sized> Engine<'a, A> {
                 }
             }
             None => {
-                let (slot, inserted) = shard.store.intern(code);
+                let (slot, inserted) = shard.store.intern_hashed(code, fingerprint);
                 if inserted {
                     assert!((slot as u64) < 1 << SLOT_BITS, "stripe overflow");
                     shard.parent.push(parent);
@@ -492,25 +500,31 @@ impl<'a, A: Algorithm + ?Sized> Engine<'a, A> {
         }
     }
 
+    /// Decodes the concrete state `(words, variant)` denotes: the code
+    /// itself without symmetry compression, else a canonical code realized
+    /// by the variant's moves.
+    fn realize(&self, words: &[u64], variant: u8) -> ProgState {
+        match &self.canon {
+            Some(canon) => canon.realize_words(&self.codec, words, variant),
+            None => self.codec.decode_words(words),
+        }
+    }
+
     /// Decodes the concrete state behind a packed global id.
     fn decode(&self, id: u32) -> ProgState {
         let stripe = (id >> SLOT_BITS) as usize;
         let slot = (id & ((1 << SLOT_BITS) - 1)) as usize;
         let shard = self.shards[stripe].lock().expect("shard lock poisoned");
         let mut words = Vec::with_capacity(self.codec.words_per_state());
-        match &self.canon {
-            Some(canon) => {
+        let (index, variant) = match &self.canon {
+            Some(_) => {
                 let entry = shard.log[slot];
-                let orbit = (entry & 0xFFFF_FFFF) as usize;
-                let variant = (entry >> 32) as u8;
-                shard.store.arena().load(orbit, &mut words);
-                canon.realize(&self.codec.decode_words(&words), variant)
+                ((entry & 0xFFFF_FFFF) as usize, (entry >> 32) as u8)
             }
-            None => {
-                shard.store.arena().load(slot, &mut words);
-                self.codec.decode_words(&words)
-            }
-        }
+            None => (slot, 0),
+        };
+        shard.store.arena().load(index, &mut words);
+        self.realize(&words, variant)
     }
 
     /// Reads the packed parent link of a global id.
@@ -569,11 +583,7 @@ impl<'a, A: Algorithm + ?Sized> Engine<'a, A> {
                     break 'claim;
                 }
                 let (id, variant, words) = frontier.entry(i);
-                let rep = self.codec.decode_words(words);
-                let state = match &self.canon {
-                    Some(canon) => canon.realize(&rep, variant),
-                    None => rep,
-                };
+                let state = self.realize(words, variant);
                 out.processed += 1;
                 // Deterministic parent-selection key base for this state.
                 let key_base = fnv1a(fnv1a(FNV_OFFSET_BASIS, words), &[u64::from(variant)]);
@@ -601,12 +611,14 @@ impl<'a, A: Algorithm + ?Sized> Engine<'a, A> {
                         let parent_key =
                             fnv1a(key_base, &[pid as u64, u64::from(is_crash)]);
                         let (code, next_variant) = self.factor(next);
-                        let ins = self.insert(&code, next_variant, parent, parent_key);
+                        let fingerprint = code.fingerprint();
+                        let ins =
+                            self.insert(&code, fingerprint, next_variant, parent, parent_key);
                         if ins.fresh {
                             out.inserted += 1;
                             out.digest_sum = out
                                 .digest_sum
-                                .wrapping_add(self.state_hash(&code, next_variant));
+                                .wrapping_add(self.state_hash(fingerprint, next_variant));
                             out.next.push(ins.id, next_variant, code.as_slice());
                             for (inv_idx, invariant) in self.invariants.iter().enumerate() {
                                 if !invariant.holds(self.alg, next) {
@@ -751,7 +763,7 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
                 masks: Vec::new(),
                 log: Vec::new(),
                 parent: Vec::new(),
-                level_links: HashMap::new(),
+                level_links: HashMap::default(),
             })
         };
         Engine {
@@ -796,10 +808,11 @@ impl<'a, A: Algorithm + ?Sized> ModelChecker<'a, A> {
         // Seed the search with the initial state (level 0).
         let initial = alg.initial_state();
         let (init_code, init_variant) = engine.factor(&initial);
-        let init = engine.insert(&init_code, init_variant, Shard::ROOT, 0);
+        let init_fingerprint = init_code.fingerprint();
+        let init = engine.insert(&init_code, init_fingerprint, init_variant, Shard::ROOT, 0);
         let mut digest = fnv1a(
             FNV_OFFSET_BASIS,
-            &[engine.state_hash(&init_code, init_variant), 1],
+            &[engine.state_hash(init_fingerprint, init_variant), 1],
         );
         let mut frontier = Frontier::new(stride);
         frontier.push(init.id, init_variant, init_code.as_slice());

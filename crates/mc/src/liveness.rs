@@ -260,14 +260,14 @@ where
         color[start] = Color::Grey;
         let mut path: Vec<usize> = vec![start];
         while let Some(&mut (node, ref mut edge_idx)) = stack.last_mut() {
-            let restricted: Vec<usize> = edges[node]
+            // Resume the node's raw edge list at the cursor, skipping the
+            // victim's own moves and moves that leave the waiting states.
+            let next = edges[node][*edge_idx..]
                 .iter()
-                .filter(|(pid, target)| *pid as usize != victim && eligible[*target as usize])
-                .map(|(_, target)| *target as usize)
-                .collect();
-            if *edge_idx < restricted.len() {
-                let target = restricted[*edge_idx];
-                *edge_idx += 1;
+                .position(|&(pid, target)| pid as usize != victim && eligible[target as usize]);
+            if let Some(skipped) = next {
+                let target = edges[node][*edge_idx + skipped].1 as usize;
+                *edge_idx += skipped + 1;
                 match color[target] {
                     Color::Grey => {
                         // Found a cycle: extract it from the current DFS path.

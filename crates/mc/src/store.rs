@@ -16,7 +16,9 @@
 //!   words, and genuine 64-bit collisions (different codes, same
 //!   fingerprint) fall back to an exact side map, so deduplication is always
 //!   exact — a collision can never silently merge two distinct states, which
-//!   would be unsound for an exhaustiveness claim.
+//!   would be unsound for an exhaustiveness claim.  Its fingerprint map
+//!   hashes with `FoldHasher`, one multiply-fold, since its keys are
+//!   already hashes.
 //! * [`Stripe`] bundles one arena + one index into the unit of sharding the
 //!   parallel explorer locks independently: the visited set is split into
 //!   [`STRIPE_COUNT`] stripes keyed by fingerprint bits ([`stripe_of`]), so
@@ -27,6 +29,7 @@
 //!   schedule.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 #[cfg(feature = "spill")]
 use std::sync::Mutex;
 
@@ -244,11 +247,54 @@ impl Drop for SpillTier {
     }
 }
 
+/// The hasher of the explorer's `u64`-keyed maps (fingerprints, and the
+/// explorer's per-level `orbit | variant << 32` links): one 64 × 64 → 128-bit
+/// multiply by an odd constant, whose two halves are XOR-folded.  The keys
+/// need no SipHash: fingerprints are FNV hashes already, and the link keys
+/// are distinct small integers.
+///
+/// The mix differs from [`stripe_of`]'s on purpose.  A hash map takes its
+/// bucket from the hash's low bits and a 7-bit tag from its top bits, and
+/// every fingerprint in one stripe shares the top bits of `stripe_of`'s
+/// product; if the map hashed keys the same way, all of a stripe's entries
+/// would share their tag bits and each probe would compare against every
+/// entry of its group.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FoldHasher {
+    hash: u64,
+}
+
+/// The multiplier of [`FoldHasher`] (odd, and unrelated to the golden-ratio
+/// multiplier of [`stripe_of`]).
+const FOLD_MULTIPLIER: u64 = 0xA076_1D64_78BD_642F;
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        let product = u128::from(self.hash ^ value) * u128::from(FOLD_MULTIPLIER);
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds [`FoldHasher`]s for a `HashMap`.
+pub(crate) type FoldBuildHasher = BuildHasherDefault<FoldHasher>;
+
 /// Exact deduplication index over a [`CodeArena`].
 #[derive(Debug, Default)]
 pub struct CodeIndex {
     /// fingerprint → index of the first code with that fingerprint.
-    primary: HashMap<u64, u32>,
+    primary: HashMap<u64, u32, FoldBuildHasher>,
     /// Exact overflow map for genuine fingerprint collisions (rare).
     collisions: HashMap<StateCode, u32>,
 }
@@ -268,7 +314,20 @@ impl CodeIndex {
         next_index: u32,
         arena: &CodeArena,
     ) -> (u32, bool) {
-        match self.primary.entry(code.fingerprint()) {
+        self.get_or_insert_hashed(code, code.fingerprint(), next_index, arena)
+    }
+
+    /// [`CodeIndex::get_or_insert`] for a caller that already holds
+    /// `fingerprint == code.fingerprint()`.
+    pub(crate) fn get_or_insert_hashed(
+        &mut self,
+        code: &StateCode,
+        fingerprint: u64,
+        next_index: u32,
+        arena: &CodeArena,
+    ) -> (u32, bool) {
+        debug_assert_eq!(fingerprint, code.fingerprint());
+        match self.primary.entry(fingerprint) {
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(next_index);
                 (next_index, true)
@@ -314,8 +373,9 @@ pub const STRIPE_BITS: u32 = STRIPE_COUNT.trailing_zeros();
 ///
 /// FNV-1a's low-order bits are its worst-dispersed, so the fingerprint is
 /// first finalized with a Fibonacci multiply and the stripe read from the
-/// *high* bits; [`CodeIndex`]'s internal hash map rehashes the full
-/// fingerprint independently, so striping steals no index entropy.
+/// *high* bits.  [`CodeIndex`]'s map hashes the full fingerprint again with
+/// `FoldHasher`, a different multiply-fold, so the fingerprints of one
+/// stripe still spread over the map's buckets and tag bits.
 #[must_use]
 pub fn stripe_of(fingerprint: u64) -> usize {
     let mixed = (fingerprint ^ (fingerprint >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -379,8 +439,17 @@ impl Stripe {
     /// freshly inserted.  Exact — fingerprint collisions fall back to
     /// [`CodeIndex`]'s side map.
     pub fn intern(&mut self, code: &StateCode) -> (u32, bool) {
+        self.intern_hashed(code, code.fingerprint())
+    }
+
+    /// [`Stripe::intern`] for a caller that already holds
+    /// `fingerprint == code.fingerprint()` (the explorer computes it once
+    /// per successor, for [`stripe_of`], the index and the digest).
+    pub(crate) fn intern_hashed(&mut self, code: &StateCode, fingerprint: u64) -> (u32, bool) {
         let next = self.arena.len() as u32;
-        let (slot, inserted) = self.index.get_or_insert(code, next, &self.arena);
+        let (slot, inserted) =
+            self.index
+                .get_or_insert_hashed(code, fingerprint, next, &self.arena);
         if inserted {
             self.arena.push(code);
         }
@@ -476,6 +545,45 @@ mod tests {
             seen.insert(s);
         }
         assert_eq!(seen.len(), STRIPE_COUNT, "fingerprints must spread");
+    }
+
+    #[test]
+    fn one_stripes_fingerprints_spread_over_the_index_tags() {
+        use std::hash::BuildHasher;
+        // A hash map buckets by a hash's low bits and tags entries with its
+        // top 7 bits.  Every fingerprint of one stripe shares the top bits
+        // of `stripe_of`'s product, so hashing them that way would leave
+        // them at most 2 tags; the index's own mix must spread them.
+        let codes: Vec<StateCode> = (0u64..)
+            .map(|i| code(&[i, i * 7 + 1]))
+            .filter(|c| stripe_of(c.fingerprint()) == 0)
+            .take(4096)
+            .collect();
+        let tags = |hash: &dyn Fn(u64) -> u64| {
+            codes
+                .iter()
+                .map(|c| hash(c.fingerprint()) >> 57)
+                .collect::<std::collections::HashSet<u64>>()
+                .len()
+        };
+        let index_tags = tags(&|fp| FoldBuildHasher::default().hash_one(fp));
+        assert!(index_tags >= 64, "{index_tags} distinct tags");
+        let stripe_tags = tags(&|fp| (fp ^ (fp >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        assert!(stripe_tags <= 2, "{stripe_tags} distinct tags");
+
+        let mut arena = CodeArena::new(2);
+        let mut index = CodeIndex::new();
+        for (slot, c) in codes.iter().enumerate() {
+            let slot = slot as u32;
+            assert_eq!(index.get_or_insert(c, slot, &arena), (slot, true));
+            arena.push(c);
+        }
+        for (slot, c) in codes.iter().enumerate() {
+            let next = arena.len() as u32;
+            assert_eq!(index.get_or_insert(c, next, &arena), (slot as u32, false));
+        }
+        assert_eq!(arena.len(), codes.len());
+        assert_eq!(index.collision_count(), 0);
     }
 
     #[cfg(feature = "spill")]
